@@ -65,10 +65,12 @@ inline void banner(const std::string& what, const std::string& paper_ref) {
 /// trace, and a 15-second link schedule. Heavyweight members are built
 /// once and reused across capacity sweeps.
 ///
-/// With `chunk == 0` the whole trace is materialized into `requests`
-/// (legacy mode). With `chunk > 0` nothing is materialized: replays pull
-/// chunked blocks from `workload->generate_stream()` and trace memory
-/// stays O(chunk) regardless of --scale.
+/// With `chunk == 0` the whole trace is materialized once into `requests`
+/// and each replay streams it through trace::VectorStream, so a capacity
+/// sweep generates the trace only once. With `chunk > 0` nothing is
+/// materialized: replays pull chunked blocks from
+/// `workload->generate_stream()` and trace memory stays O(chunk)
+/// regardless of --scale.
 struct VideoScenario {
   explicit VideoScenario(util::Seconds duration = util::kDay,
                          double scale = 1.0, std::uint64_t seed = 0,
@@ -105,15 +107,16 @@ struct VideoScenario {
     return b;
   }
 
-  /// Replay the scenario trace into `sim` — materialized vector or
-  /// bounded-memory stream, per `stream_chunk`. Results are bitwise
-  /// identical either way (asserted by tests/test_stream.cpp).
+  /// Replay the scenario trace into `sim` — from the materialized vector
+  /// or the bounded-memory generator, per `stream_chunk`. Results are
+  /// bitwise identical either way (asserted by tests/test_stream.cpp).
   void replay_into(core::Simulator& sim) const {
     if (stream_chunk > 0) {
       const auto stream = workload->generate_stream({stream_chunk});
       sim.run(*stream);
     } else {
-      sim.run(requests);
+      trace::VectorStream stream(requests);
+      sim.run(stream);
     }
   }
 

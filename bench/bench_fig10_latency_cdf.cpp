@@ -3,6 +3,8 @@
 // the Static Cache north star.
 #include "bench_common.h"
 
+#include <deque>
+
 #include "net/latency_model.h"
 #include "util/stats.h"
 
@@ -28,26 +30,25 @@ int main(int argc, char** argv) {
   series["TerrestrialCDN"] = &terrestrial;
   series["Starlink(no cache)"] = &bentpipe;
 
-  std::vector<std::unique_ptr<core::Simulator>> sims;
+  // `series` points into these reports; a deque keeps them in place.
+  std::deque<core::RunReport> reports;
   for (const int buckets : {4, 9}) {
     core::SimConfig cfg = harness.sim_config();
     cfg.cache_capacity = util::gib(8);
     cfg.buckets = buckets;
-    auto sim = std::make_unique<core::Simulator>(*scenario.shell,
-                                                 *scenario.schedule, cfg);
-    sim->add_variant(core::Variant::kStarCdn);
-    sim->add_variant(core::Variant::kHashOnly);
-    if (buckets == 4) sim->add_variant(core::Variant::kStatic);
-    scenario.replay_into(*sim);
+    core::Simulator sim(*scenario.shell, *scenario.schedule, cfg);
+    sim.add_variant(core::Variant::kStarCdn);
+    sim.add_variant(core::Variant::kHashOnly);
+    if (buckets == 4) sim.add_variant(core::Variant::kStatic);
+    scenario.replay_into(sim);
+    const core::RunReport& report = reports.emplace_back(sim.finish());
+    const auto samples = [&](core::Variant v) {
+      return &report.variant(v).metrics.latency_ms;
+    };
     const std::string l = "L" + std::to_string(buckets);
-    series["StarCDN-" + l] =
-        &sim->metrics(core::Variant::kStarCdn).latency_ms;
-    series["StarCDN-Fetch-" + l] =
-        &sim->metrics(core::Variant::kHashOnly).latency_ms;
-    if (buckets == 4) {
-      series["StaticCache"] = &sim->metrics(core::Variant::kStatic).latency_ms;
-    }
-    sims.push_back(std::move(sim));
+    series["StarCDN-" + l] = samples(core::Variant::kStarCdn);
+    series["StarCDN-Fetch-" + l] = samples(core::Variant::kHashOnly);
+    if (buckets == 4) series["StaticCache"] = samples(core::Variant::kStatic);
   }
 
   std::vector<std::string> header{"quantile"};

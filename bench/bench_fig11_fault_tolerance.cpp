@@ -34,7 +34,8 @@ int main(int argc, char** argv) {
   sim.add_variant(core::Variant::kStarCdn);
   base.replay_into(sim);
 
-  const auto& m = sim.metrics(core::Variant::kStarCdn);
+  const core::RunReport report = sim.finish();
+  const auto& m = report.variant(core::Variant::kStarCdn).metrics;
   const auto served = sim.buckets_served_per_satellite();
 
   struct Group {

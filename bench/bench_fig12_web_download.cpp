@@ -53,13 +53,16 @@ int main(int argc, char** argv) {
           sim.add_variant(core::Variant::kStatic);
           sim.add_variant(core::Variant::kVanillaLru);
         }
-        sim.run(requests);
-        const auto& m = sim.metrics(core::Variant::kStarCdn);
+        trace::VectorStream stream(requests);
+        sim.run(stream);
+        const core::RunReport report = sim.finish();
+        const auto& m = report.variant(core::Variant::kStarCdn).metrics;
         out["StarCDN L=" + std::to_string(buckets)] = {m.request_hit_rate(),
                                                        m.byte_hit_rate()};
         if (buckets == 9) {
-          const auto& st = sim.metrics(core::Variant::kStatic);
-          const auto& lru = sim.metrics(core::Variant::kVanillaLru);
+          const auto& st = report.variant(core::Variant::kStatic).metrics;
+          const auto& lru =
+              report.variant(core::Variant::kVanillaLru).metrics;
           out["Static"] = {st.request_hit_rate(), st.byte_hit_rate()};
           out["LRU"] = {lru.request_hit_rate(), lru.byte_hit_rate()};
         }

@@ -37,8 +37,10 @@ int main(int argc, char** argv) {
     sim_cfg.sample_latency = false;
     core::Simulator sim(shell, schedule, sim_cfg);
     sim.add_variant(core::Variant::kHashOnly);  // StarCDN-Fetch architecture
-    sim.run(trace::merge_by_time(traces));
-    const auto& m = sim.metrics(core::Variant::kHashOnly);
+    trace::MultiTraceStream stream(traces);
+    sim.run(stream);
+    const core::RunReport report = sim.finish();
+    const auto& m = report.variant(core::Variant::kHashOnly).metrics;
     return std::pair{m.request_hit_rate(), m.byte_hit_rate()};
   };
 

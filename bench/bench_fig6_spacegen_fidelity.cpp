@@ -119,8 +119,10 @@ int main(int argc, char** argv) {
     sim_cfg.sample_latency = false;
     core::Simulator sim(shell, schedule, sim_cfg);
     sim.add_variant(core::Variant::kVanillaLru);
-    sim.run(trace::merge_by_time(traces));
-    const auto& m = sim.metrics(core::Variant::kVanillaLru);
+    trace::MultiTraceStream stream(traces);
+    sim.run(stream);
+    const core::RunReport report = sim.finish();
+    const auto& m = report.variant(core::Variant::kVanillaLru).metrics;
     return std::pair{m.request_hit_rate(), m.byte_hit_rate()};
   };
   util::TextTable sat_table({"Cache(GB)", "Prod RHR", "Synth RHR", "Prod BHR",

@@ -39,11 +39,13 @@ int main(int argc, char** argv) {
           core::Simulator sim(*scenario.shell, *scenario.schedule, cfg);
           for (const auto v : order) sim.add_variant(v);
           scenario.replay_into(sim);
+          const core::RunReport report = sim.finish();
 
           Rows rows{{label}, {label}};
           for (const auto v : order) {
-            rows.rhr.push_back(util::fmt_pct(sim.metrics(v).request_hit_rate()));
-            rows.bhr.push_back(util::fmt_pct(sim.metrics(v).byte_hit_rate()));
+            const auto& m = report.variant(v).metrics;
+            rows.rhr.push_back(util::fmt_pct(m.request_hit_rate()));
+            rows.bhr.push_back(util::fmt_pct(m.byte_hit_rate()));
           }
           return rows;
         });

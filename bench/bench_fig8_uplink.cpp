@@ -24,9 +24,11 @@ int main(int argc, char** argv) {
         core::Simulator sim(*scenario.shell, *scenario.schedule, cfg);
         for (const auto v : order) sim.add_variant(v);
         scenario.replay_into(sim);
+        const core::RunReport report = sim.finish();
         std::vector<std::string> row{label};
         for (const auto v : order) {
-          row.push_back(util::fmt_pct(sim.metrics(v).normalized_uplink()));
+          row.push_back(
+              util::fmt_pct(report.variant(v).metrics.normalized_uplink()));
         }
         return row;
       });
@@ -43,7 +45,9 @@ int main(int argc, char** argv) {
     core::Simulator sim(*scenario.shell, *scenario.schedule, cfg);
     sim.add_variant(core::Variant::kStarCdn);
     scenario.replay_into(sim);
-    const auto& meter = sim.metrics(core::Variant::kStarCdn).uplink_meter;
+    const core::RunReport report = sim.finish();
+    const auto& meter =
+        report.variant(core::Variant::kStarCdn).metrics.uplink_meter;
     std::printf(
         "\nGSL budget check (StarCDN): mean %.3f Gbps, peak %.3f Gbps per "
         "satellite-epoch, %llu/%zu cells over the 20 Gbps budget.\n",

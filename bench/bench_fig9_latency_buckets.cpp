@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
     core::Simulator sim(*scenario.shell, *scenario.schedule, cfg);
     sim.add_variant(core::Variant::kHashOnly);
     scenario.replay_into(sim);
+    const core::RunReport report = sim.finish();
 
     const int side = sim.mapper().tile_side();
     const int half = side / 2;
@@ -33,8 +34,8 @@ int main(int argc, char** argv) {
     table.add_row({std::to_string(buckets),
                    std::to_string(sim.mapper().worst_case_hops()),
                    util::fmt(worst_rtt, 1),
-                   util::fmt_pct(
-                       sim.metrics(core::Variant::kHashOnly).request_hit_rate())});
+                   util::fmt_pct(report.variant(core::Variant::kHashOnly)
+                                     .metrics.request_hit_rate())});
   }
   table.print(std::cout, "Fig. 9: latency/hit-rate tradeoff in L");
   table.write_csv(harness.out_dir() + "/fig9_latency_buckets.csv");

@@ -265,11 +265,13 @@ BENCHMARK(BM_ObsShardAdd);
 
 void BM_ObsHistogramObserve(benchmark::State& state) {
   obs::Registry registry;
-  const core::CoreMetricIds ids = core::register_core_metrics(registry);
+  const obs::HistogramId latency = registry.histogram(
+      "latency_ms", "end-to-end request latency",
+      {5, 10, 20, 30, 40, 50, 75, 100, 150, 200, 300, 500, 1000}, "ms");
   obs::Shard shard(registry);
   double x = 0.0;
   for (auto _ : state) {
-    shard.observe(ids.latency_ms, x);
+    shard.observe(latency, x);
     x = x < 900.0 ? x + 7.3 : 0.0;
   }
   state.SetItemsProcessed(state.iterations());
@@ -359,7 +361,10 @@ void report_parallel_speedup() {
           core::Variant::kRelayOnly, core::Variant::kVanillaLru}) {
       sim.add_variant(v);
     }
-    const double s = time_s([&] { sim.run(requests); });
+    const double s = time_s([&] {
+      trace::VectorStream stream(requests);
+      sim.run(stream);
+    });
     util::set_parallel_threads(0);
     return s;
   };

@@ -18,7 +18,7 @@ Outcome run_point(const trace::WorkloadParams& wp,
                   const orbit::WalkerParams& shell_params,
                   double min_elevation_deg) {
   const trace::WorkloadModel workload(util::paper_cities(), wp);
-  const auto requests = trace::merge_by_time(workload.generate());
+  const trace::MultiTrace traces = workload.generate();
   const orbit::Constellation shell{shell_params};
   sched::SchedulerParams sp;
   sp.min_elevation = util::Degrees{min_elevation_deg};
@@ -31,9 +31,14 @@ Outcome run_point(const trace::WorkloadParams& wp,
   core::Simulator sim(shell, schedule, cfg);
   sim.add_variant(core::Variant::kStarCdn);
   sim.add_variant(core::Variant::kVanillaLru);
-  sim.run(requests);
-  return {sim.metrics(core::Variant::kStarCdn).request_hit_rate(),
-          sim.metrics(core::Variant::kVanillaLru).request_hit_rate()};
+  trace::MultiTraceStream stream(traces);
+  sim.run(stream);
+  const core::RunReport report = sim.finish();
+  const auto hit_rate = [&](core::Variant v) {
+    return report.variant(v).metrics.request_hit_rate();
+  };
+  return {hit_rate(core::Variant::kStarCdn),
+          hit_rate(core::Variant::kVanillaLru)};
 }
 
 trace::WorkloadParams base_params() {

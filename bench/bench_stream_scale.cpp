@@ -40,7 +40,8 @@ int main(int argc, char** argv) {
   scenario.replay_into(sim);
   const double wall = timer.seconds();
 
-  const auto& m = sim.metrics(core::Variant::kStarCdn);
+  const core::RunReport report = sim.finish();
+  const auto& m = report.variant(core::Variant::kStarCdn).metrics;
   const auto total = scenario.workload->total_request_count();
   std::printf(
       "streamed %llu requests in %.1f s (%.2f Mreq/s): request hit rate "

@@ -24,8 +24,8 @@ int main() {
   wp.requests_per_weight = 20'000;
   wp.duration_s = 6 * util::kHour.value();
   const trace::WorkloadModel workload(cities, wp);
-  const auto requests = trace::merge_by_time(workload.generate());
-  std::printf("workload: %zu requests over %zu cities\n", requests.size(),
+  std::printf("workload: %llu requests over %zu cities\n",
+              static_cast<unsigned long long>(workload.total_request_count()),
               cities.size());
 
   // 2. The Starlink 53-degree shell: 72 planes x 18 slots at 550 km.
@@ -45,7 +45,10 @@ int main() {
                                   core::Variant::kStarCdn})
                        .build();
   core::Simulator sim(shell, schedule, cfg);
-  sim.run(requests);
+  // The simulator pulls the trace chunk by chunk as the generator makes
+  // it, so memory stays O(chunk) however long the trace is.
+  const auto stream = workload.generate_stream();
+  sim.run(*stream);
 
   // 5. finish() seals the run into a self-contained report: totals,
   //    latency quantiles, and a per-epoch time-series per variant.

@@ -158,7 +158,8 @@ int main(int argc, char** argv) {
   core::TraceJsonSink trace_sink(trace_path);
   if (!trace_path.empty()) sim.add_sink(trace_sink);
 
-  sim.run(requests);
+  trace::VectorStream stream(requests);
+  sim.run(stream);
   const core::RunReport report = sim.finish();
 
   for (const auto& p : series.paths()) std::printf("series: %s\n", p.c_str());

@@ -53,10 +53,6 @@ CoreMetricIds register_core_metrics(obs::Registry& registry) {
       "relay_east_only_bytes", "bytes available only east", "bytes");
   ids.relay_both_bytes = registry.counter(
       "relay_both_bytes", "bytes available on both replicas", "bytes");
-
-  ids.latency_ms = registry.histogram(
-      "latency_ms", "end-to-end request latency",
-      {5, 10, 20, 30, 40, 50, 75, 100, 150, 200, 300, 500, 1000}, "ms");
   return ids;
 }
 
@@ -70,10 +66,6 @@ std::vector<obs::CounterId> core_series_columns(const CoreMetricIds& ids) {
 
 void shard_to_metrics(const CoreMetricIds& ids, const obs::Shard& shard,
                       VariantMetrics& m) {
-  // Assignment from the cumulative shard, not +=: shards persist across
-  // streamed run() chunks, so each sync lands on the same totals the old
-  // direct-increment fields accumulated — bitwise, since both are sums of
-  // identical u64 increments.
   m.requests = shard.value(ids.requests);
   m.local_hits = shard.value(ids.local_hits);
   m.routed_hits = shard.value(ids.routed_hits);

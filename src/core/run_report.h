@@ -1,12 +1,16 @@
 // Run reports and metric sinks: the simulator's output API (DESIGN.md §11).
 //
-// VariantMetrics used to be the simulator's hard-coded output; it is now
-// one *view* of an obs::Registry. Every scalar counter the hot path
-// increments goes through a per-variant obs::Shard via the CoreMetricIds
-// handles below, and Simulator syncs the shard back into the familiar
-// VariantMetrics fields — so existing figure code keeps reading
-// `sim.metrics(v).uplink_bytes` while new code gets, from the same single
-// source of truth:
+// During a run every scalar counter lives in one place: a per-variant
+// obs::Shard, updated through the CoreMetricIds handles below. Nothing
+// mirrors it while the run is in progress. Simulator::finish() converts
+// each shard into VariantReport::metrics (shard_to_metrics, its one
+// caller), so results are read from the report, never from the Simulator:
+//
+//   sim.run(stream);
+//   const RunReport report = sim.finish();
+//   report.variant(Variant::kStarCdn).metrics.uplink_bytes;
+//
+// The pieces:
 //
 //   * RunReport       — self-contained result of a run: per-variant
 //                       metrics + epoch time-series + counter snapshots,
@@ -32,8 +36,8 @@
 
 namespace starcdn::core {
 
-/// Handles for every scalar counter the replay hot path updates, plus the
-/// latency histogram. Issued once per Simulator by register_core_metrics().
+/// Handles for every scalar counter the replay hot path updates. Issued
+/// once per Simulator by register_core_metrics().
 struct CoreMetricIds {
   obs::CounterId requests;
   obs::CounterId local_hits;
@@ -57,8 +61,6 @@ struct CoreMetricIds {
   obs::CounterId relay_west_only_bytes;
   obs::CounterId relay_east_only_bytes;
   obs::CounterId relay_both_bytes;
-
-  obs::HistogramId latency_ms;
 };
 
 /// Register the core schema into `registry` and hand back the handles.
@@ -69,8 +71,9 @@ struct CoreMetricIds {
 [[nodiscard]] std::vector<obs::CounterId> core_series_columns(
     const CoreMetricIds& ids);
 
-/// Sync a shard's cumulative counters into the legacy VariantMetrics
-/// scalar fields (assignment, so repeated syncs are idempotent).
+/// Copy a shard's cumulative counters into the VariantMetrics scalar
+/// fields. Simulator::finish() is the one place a run's counters become
+/// VariantReport::metrics.
 void shard_to_metrics(const CoreMetricIds& ids, const obs::Shard& shard,
                       VariantMetrics& m);
 
@@ -83,7 +86,9 @@ void shard_to_metrics(const CoreMetricIds& ids, const obs::Shard& shard,
 struct VariantReport {
   Variant variant = Variant::kStarCdn;
   std::string name;          ///< to_string(variant)
-  VariantMetrics metrics;    ///< synced view (includes latency sampler)
+  /// Counters from the variant's shard plus the latency sampler, uplink
+  /// meter and per-satellite arrays the shard cannot hold.
+  VariantMetrics metrics;
   obs::SeriesTable series;   ///< per-epoch counters; empty when disabled
   /// Registry counter snapshot (name, cumulative value) in registration
   /// order — the raw data behind `metrics`.

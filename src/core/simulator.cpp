@@ -133,7 +133,7 @@ void Simulator::add_variant(Variant v) {
   if (config_.record_epoch_series) {
     vs.series = obs::EpochSeries(&registry_, core_series_columns(ids_));
   }
-  vs.metrics.latency_ms = util::QuantileSampler(config_.latency_reservoir);
+  vs.latency_ms = util::QuantileSampler(config_.latency_reservoir);
   vs.caches.resize(static_cast<std::size_t>(constellation_->size()));
   if (v == Variant::kPrefetch) {
     vs.prefetch_epoch.assign(static_cast<std::size_t>(constellation_->size()),
@@ -141,29 +141,15 @@ void Simulator::add_variant(Variant v) {
   }
   if (config_.track_per_satellite) {
     const auto n = static_cast<std::size_t>(constellation_->size());
-    vs.metrics.sat_requests.assign(n, 0);
-    vs.metrics.sat_hits.assign(n, 0);
-    vs.metrics.sat_bytes_requested.assign(n, 0);
-    vs.metrics.sat_bytes_hit.assign(n, 0);
+    vs.sat_requests.assign(n, 0);
+    vs.sat_hits.assign(n, 0);
+    vs.sat_bytes_requested.assign(n, 0);
+    vs.sat_bytes_hit.assign(n, 0);
   }
   variants_.push_back(std::move(vs));
 }
 
 void Simulator::add_sink(MetricsSink& sink) { sinks_.push_back(&sink); }
-
-const VariantMetrics& Simulator::metrics(Variant v) const {
-  for (const auto& vs : variants_) {
-    if (vs.variant == v) return vs.metrics;
-  }
-  throw std::out_of_range("Simulator::metrics: variant not registered");
-}
-
-const obs::Shard& Simulator::shard(Variant v) const {
-  for (const auto& vs : variants_) {
-    if (vs.variant == v) return vs.shard;
-  }
-  throw std::out_of_range("Simulator::shard: variant not registered");
-}
 
 cache::Cache& Simulator::cache_at(VariantState& vs, SatId sat) {
   auto& slot = vs.caches[util::as_index(sat)];
@@ -180,31 +166,31 @@ void Simulator::note_sat(VariantState& vs, SatId sat,
                          const trace::Request& r, bool hit) {
   if (!config_.track_per_satellite) return;
   const auto i = util::as_index(sat);
-  ++vs.metrics.sat_requests[i];
-  vs.metrics.sat_bytes_requested[i] += r.size;
+  ++vs.sat_requests[i];
+  vs.sat_bytes_requested[i] += r.size;
   if (hit) {
-    ++vs.metrics.sat_hits[i];
-    vs.metrics.sat_bytes_hit[i] += r.size;
+    ++vs.sat_hits[i];
+    vs.sat_bytes_hit[i] += r.size;
   }
 }
 
-void Simulator::build_context(const trace::RequestView& view,
+void Simulator::build_context(const trace::RequestBlock& block,
                               std::uint64_t counter_base, bool need_static,
                               std::vector<RequestContext>& ctx) {
   STARCDN_PROF_SCOPE("Simulator::stage1_context");
   const obs::TraceSpan stage1_span(obs::tracer(), "stage1_context", "core");
   const auto users_per_city =
       static_cast<std::uint64_t>(schedule_->params().users_per_city);
-  ctx.resize(view.count());
-  util::parallel_for(view.count(), [&](std::size_t i) {
+  ctx.resize(block.count());
+  util::parallel_for(block.count(), [&](std::size_t i) {
     RequestContext& c = ctx[i];
-    c.epoch = schedule_->epoch_of(util::Seconds{view.timestamp_s(i)});
+    c.epoch = schedule_->epoch_of(util::Seconds{block.timestamp_s[i]});
     // Logical user terminal issuing this request: rotates through the
     // city's population so an epoch's requests spread over the candidate
     // satellites exactly as CosmicBeats splits them (§5.1).
     const std::uint64_t user =
         util::splitmix64(counter_base + i) % users_per_city;
-    const CityId city{view.location(i)};
+    const CityId city{block.location[i]};
     c.fc = schedule_->first_contact(c.epoch, city, user);
     c.handover = false;
     if (c.epoch.value() > 0 && c.fc.sat.value() >= 0) {
@@ -219,7 +205,7 @@ void Simulator::build_context(const trace::RequestView& view,
 }
 
 void Simulator::replay_variant(VariantState& vs,
-                               const trace::RequestView& view,
+                               const trace::RequestBlock& block,
                                const std::vector<RequestContext>& ctx,
                                bool trace_epochs,
                                std::uint64_t& marked_epoch) {
@@ -229,7 +215,7 @@ void Simulator::replay_variant(VariantState& vs,
   obs::Tracer* const tr = trace_epochs ? obs::tracer() : nullptr;
   const bool is_static = vs.variant == Variant::kStatic;
   const bool record_series = vs.series.enabled();
-  for (std::size_t i = 0; i < view.count(); ++i) {
+  for (std::size_t i = 0; i < block.count(); ++i) {
     ++vs.request_counter;
     const std::uint64_t real = ctx[i].epoch.value();
     if (record_series) vs.series.advance_to(real, vs.shard);
@@ -241,43 +227,9 @@ void Simulator::replay_variant(VariantState& vs,
     // freezes the mapping, so it never hands over by construction.
     if (!is_static && ctx[i].handover) vs.shard.add(ids_.handovers);
     const EpochIdx sched_epoch = is_static ? EpochIdx{0} : ctx[i].epoch;
-    process(vs, view[i], sched_epoch, ctx[i].epoch,
+    process(vs, block.at(i), sched_epoch, ctx[i].epoch,
             is_static ? ctx[i].fc_static : ctx[i].fc);
   }
-}
-
-void Simulator::run(const std::vector<trace::Request>& requests) {
-  if (variants_.empty() || requests.empty()) return;
-  STARCDN_PROF_SCOPE("Simulator::run");
-  obs::TraceSpan run_span(
-      obs::tracer(), "Simulator::run", "core",
-      {obs::arg("requests", static_cast<std::uint64_t>(requests.size())),
-       obs::arg("variants", static_cast<std::uint64_t>(variants_.size()))});
-
-  bool need_static = false;
-  for (const auto& vs : variants_) {
-    need_static = need_static || vs.variant == Variant::kStatic;
-  }
-  // All variant counters advance in lockstep; any of them anchors the
-  // user-terminal rotation for this chunk of the stream.
-  const std::uint64_t counter_base = variants_.front().request_counter;
-  const trace::RequestView view(requests.data(), requests.size());
-  std::vector<RequestContext> ctx;
-  build_context(view, counter_base, need_static, ctx);
-
-  // Stage 2 — one worker per variant. Each VariantState is self-contained
-  // (caches, metrics shard, series, RNG, transient model, counter), and
-  // requests within a variant replay strictly in trace order, so metrics
-  // are bitwise identical for any thread count.
-  util::parallel_for(variants_.size(), [&](std::size_t vi) {
-    VariantState& vs = variants_[vi];
-    std::uint64_t marked_epoch = ~0ULL;
-    replay_variant(vs, view, ctx, vi == 0, marked_epoch);
-    // Fold the trailing epoch's uplink accumulation into the statistics,
-    // then project the shard back onto the legacy VariantMetrics view.
-    vs.metrics.uplink_meter.flush();
-    shard_to_metrics(ids_, vs.shard, vs.metrics);
-  });
 }
 
 void Simulator::run(trace::RequestStream& stream) {
@@ -292,6 +244,11 @@ void Simulator::run(trace::RequestStream& stream) {
     need_static = need_static || vs.variant == Variant::kStatic;
   }
 
+  // Stage 2 runs one worker per variant. Each VariantState is
+  // self-contained (caches, shard, series, RNG, transient model, counter)
+  // and replays its requests strictly in trace order, so results are
+  // bitwise identical for any thread count.
+  //
   // Double buffer: while the variants replay block `cur`, the extra
   // parallel_for slot pulls the next block from the stream and builds its
   // stage-1 context (nested parallel_for runs inline on that worker). The
@@ -301,17 +258,16 @@ void Simulator::run(trace::RequestStream& stream) {
   trace::RequestBlock blocks[2];
   std::vector<RequestContext> ctxs[2];
   // Chunk-base bookkeeping: the rotation seed advances by block length, so
-  // terminals rotate exactly as in the materialized path regardless of how
-  // the stream chops the trace. Tracked locally — variant counters mutate
-  // concurrently with the producer's context build.
+  // terminals rotate identically however the stream chops the trace.
+  // Tracked locally — variant counters mutate concurrently with the
+  // producer's context build.
   std::uint64_t counter_base = variants_.front().request_counter;
   std::vector<std::uint64_t> marked(variants_.size(), ~0ULL);
 
   int cur = 0;
   bool have = stream.next(blocks[cur]) && !blocks[cur].empty();
   if (have) {
-    build_context(trace::RequestView(blocks[cur]), counter_base, need_static,
-                  ctxs[cur]);
+    build_context(blocks[cur], counter_base, need_static, ctxs[cur]);
   }
   while (have) {
     const std::uint64_t next_base = counter_base + blocks[cur].count();
@@ -320,26 +276,23 @@ void Simulator::run(trace::RequestStream& stream) {
       if (slot == variants_.size()) {
         have_next = stream.next(blocks[1 - cur]) && !blocks[1 - cur].empty();
         if (have_next) {
-          build_context(trace::RequestView(blocks[1 - cur]), next_base,
-                        need_static, ctxs[1 - cur]);
+          build_context(blocks[1 - cur], next_base, need_static,
+                        ctxs[1 - cur]);
         }
         return;
       }
-      replay_variant(variants_[slot], trace::RequestView(blocks[cur]),
-                     ctxs[cur], slot == 0, marked[slot]);
+      replay_variant(variants_[slot], blocks[cur], ctxs[cur], slot == 0,
+                     marked[slot]);
     });
     counter_base = next_base;
     have = have_next;
     cur = 1 - cur;
   }
 
-  for (auto& vs : variants_) {
-    // One trailing fold per run, as in the materialized path: flushing per
-    // block would split a (satellite, epoch) uplink cell at chunk
-    // boundaries and skew the throughput statistics.
-    vs.metrics.uplink_meter.flush();
-    shard_to_metrics(ids_, vs.shard, vs.metrics);
-  }
+  // One trailing fold per run: flushing per block would split a
+  // (satellite, epoch) uplink cell at chunk boundaries and skew the
+  // throughput statistics.
+  for (auto& vs : variants_) vs.uplink_meter.flush();
 }
 
 RunReport Simulator::finish() {
@@ -352,14 +305,18 @@ RunReport Simulator::finish() {
   std::vector<const obs::Shard*> shards;
   shards.reserve(variants_.size());
   for (auto& vs : variants_) {
-    vs.metrics.uplink_meter.flush();  // no-op unless a run left a partial
-    vs.series.finish(vs.shard);       // close the trailing partial epoch
-    shard_to_metrics(ids_, vs.shard, vs.metrics);
+    vs.series.finish(vs.shard);  // close the trailing partial epoch
 
     VariantReport vr;
     vr.variant = vs.variant;
     vr.name = to_string(vs.variant);
-    vr.metrics = vs.metrics;
+    shard_to_metrics(ids_, vs.shard, vr.metrics);
+    vr.metrics.latency_ms = vs.latency_ms;
+    vr.metrics.uplink_meter = vs.uplink_meter;
+    vr.metrics.sat_requests = vs.sat_requests;
+    vr.metrics.sat_hits = vs.sat_hits;
+    vr.metrics.sat_bytes_requested = vs.sat_bytes_requested;
+    vr.metrics.sat_bytes_hit = vs.sat_bytes_hit;
     vr.series = vs.series.table(report.epoch_seconds);
     for (const auto& d : registry_.descriptors()) {
       if (d.kind != obs::Kind::kCounter) continue;
@@ -413,14 +370,9 @@ void Simulator::maybe_prefetch(VariantState& vs, SatId serving,
 void Simulator::process(VariantState& vs, const trace::Request& r,
                         EpochIdx sched_epoch, EpochIdx real_epoch,
                         const sched::Candidate& fc) {
-  VariantMetrics& m = vs.metrics;  // sampler + uplink meter + sat_* only;
-  obs::Shard& sh = vs.shard;       // every scalar counter goes here
+  obs::Shard& sh = vs.shard;
   sh.add(ids_.requests);
   sh.add(ids_.bytes_requested, r.size);
-  const auto sample = [&](double ms) {
-    m.latency_ms.add(ms);
-    sh.observe(ids_.latency_ms, ms);
-  };
 
   if (fc.sat.value() < 0) {
     // Coverage gap: served bent-pipe from the ground via a remote link.
@@ -428,7 +380,7 @@ void Simulator::process(VariantState& vs, const trace::Request& r,
     sh.add(ids_.misses);
     sh.add(ids_.uplink_bytes, r.size);
     if (config_.sample_latency) {
-      sample(
+      vs.latency_ms.add(
           latency_.bentpipe_starlink(latency_.params().default_gsl, vs.rng)
               .value());
     }
@@ -460,9 +412,9 @@ void Simulator::process(VariantState& vs, const trace::Request& r,
     sh.add(ids_.transient_misses);
     sh.add(ids_.misses);
     sh.add(ids_.uplink_bytes, r.size);
-    m.uplink_meter.add(serving_idx, real_epoch, r.size);
+    vs.uplink_meter.add(serving_idx, real_epoch, r.size);
     if (config_.sample_latency) {
-      sample(
+      vs.latency_ms.add(
           latency_.miss(gsl, route, latency_.params().default_gsl, vs.rng)
               .value());
     }
@@ -485,8 +437,9 @@ void Simulator::process(VariantState& vs, const trace::Request& r,
     }
     note_sat(vs, serving_idx, r, true);
     if (config_.sample_latency) {
-      sample(route.value() > 0.0 ? latency_.hit_routed(gsl, route).value()
-                                 : latency_.hit_local(gsl).value());
+      vs.latency_ms.add(route.value() > 0.0
+                            ? latency_.hit_routed(gsl, route).value()
+                            : latency_.hit_local(gsl).value());
     }
     return;
   }
@@ -556,7 +509,7 @@ void Simulator::process(VariantState& vs, const trace::Request& r,
         const util::Millis relay =
             static_cast<double>(relay_hops) *
             latency_.params().inter_orbit_hop;
-        sample(latency_.hit_relayed(gsl, route, relay).value());
+        vs.latency_ms.add(latency_.hit_relayed(gsl, route, relay).value());
       }
       return;
     }
@@ -565,10 +518,10 @@ void Simulator::process(VariantState& vs, const trace::Request& r,
   // --- Total miss: fetch from the ground (uplink spend) --------------------
   sh.add(ids_.misses);
   sh.add(ids_.uplink_bytes, r.size);
-  m.uplink_meter.add(serving_idx, real_epoch, r.size);
+  vs.uplink_meter.add(serving_idx, real_epoch, r.size);
   serving_cache.admit(r.object, r.size);
   if (config_.sample_latency) {
-    sample(
+    vs.latency_ms.add(
         latency_.miss(gsl, route, latency_.params().default_gsl, vs.rng)
             .value());
   }

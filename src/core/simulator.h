@@ -34,6 +34,7 @@
 #include "core/metrics.h"
 #include "core/run_report.h"
 #include "core/variant.h"
+#include "net/bandwidth.h"
 #include "net/latency_model.h"
 #include "obs/registry.h"
 #include "obs/series.h"
@@ -42,6 +43,7 @@
 #include "trace/record.h"
 #include "trace/stream.h"
 #include "util/ids.h"
+#include "util/stats.h"
 #include "util/units.h"
 
 namespace starcdn::core {
@@ -178,40 +180,34 @@ class Simulator {
   /// sink must outlive the simulator. Sinks fire in registration order.
   void add_sink(MetricsSink& sink);
 
-  /// Replay requests (must be time-ordered, e.g. trace::merge_by_time).
-  /// May be called repeatedly to stream a long trace in chunks.
+  /// Replay a time-ordered chunked stream with O(chunk) memory. May be
+  /// called repeatedly: counters, caches and the user-terminal rotation
+  /// carry over, so a trace split across several streams replays like one.
+  /// A materialized trace goes through trace::VectorStream, per-location
+  /// traces through trace::MultiTraceStream.
   ///
   /// Variants replay concurrently (one worker per VariantState; see
-  /// util::parallel_for). Each variant owns its caches, metrics, RNG
-  /// stream (seeded config.seed ^ variant) and request counter, so the
-  /// resulting metrics are bitwise identical for any thread count.
-  void run(const std::vector<trace::Request>& requests);
-
-  /// Replay a chunked stream (trace::RequestStream) with O(chunk) memory.
+  /// util::parallel_for). Each variant owns its caches, counters, RNG
+  /// stream (seeded config.seed ^ variant) and request counter, so results
+  /// are bitwise identical for any thread count and any chunk size.
   ///
   /// Double-buffered: while the variants replay chunk N, one extra
   /// parallel_for slot pulls chunk N+1 from the stream and builds its
-  /// stage-1 request context, so generation/IO overlaps replay. Chunk-base
-  /// bookkeeping keeps the user-terminal rotation identical to the
-  /// materialized path, so metrics are bitwise identical to
-  /// run(collect(stream)) for any chunk size and thread count.
+  /// stage-1 request context, so generation/IO overlaps replay.
+  ///
+  /// Throws std::out_of_range (from sched::LinkSchedule) on a request whose
+  /// location is not one of the schedule's cities.
   void run(trace::RequestStream& stream);
 
-  /// Close the run: seals each variant's epoch series, merges the
-  /// per-variant shards (registration order — deterministic), collects
-  /// the hot-path profile, feeds every registered sink, and returns the
-  /// self-contained RunReport. May be called repeatedly; each call
-  /// re-snapshots (and re-feeds the sinks with) the current totals.
+  /// Close the run: seals each variant's epoch series, converts each
+  /// variant's shard into VariantReport::metrics, merges the shards
+  /// (registration order — deterministic), collects the hot-path profile,
+  /// feeds every registered sink, and returns the self-contained
+  /// RunReport — the only way to read a run's results. May be called
+  /// repeatedly; each call re-snapshots (and re-feeds the sinks with) the
+  /// current totals.
   RunReport finish();
 
-  [[nodiscard]] const VariantMetrics& metrics(Variant v) const;
-  /// The metric schema backing this simulator's counters.
-  [[nodiscard]] const obs::Registry& registry() const noexcept {
-    return registry_;
-  }
-  /// A variant's raw counter shard (the source VariantMetrics is synced
-  /// from); throws std::out_of_range when unregistered.
-  [[nodiscard]] const obs::Shard& shard(Variant v) const;
   [[nodiscard]] const BucketMapper& mapper() const noexcept { return mapper_; }
   [[nodiscard]] const SimConfig& config() const noexcept { return config_; }
 
@@ -227,9 +223,16 @@ class Simulator {
   /// thread count and which other variants are registered.
   struct VariantState {
     Variant variant;
-    VariantMetrics metrics;
-    obs::Shard shard;        // counter storage; metrics syncs from this
-    obs::EpochSeries series; // per-epoch snapshots of the shard
+    obs::Shard shard;         // every scalar counter of the run
+    obs::EpochSeries series;  // per-epoch snapshots of the shard
+    util::QuantileSampler latency_ms{kDefaultLatencyReservoir};
+    net::UplinkMeter uplink_meter;  // per-(satellite, epoch) GSL load
+    // Per-satellite hit accounting (Fig. 11); sized only when
+    // config.track_per_satellite is set.
+    std::vector<std::uint32_t> sat_requests;
+    std::vector<std::uint32_t> sat_hits;
+    std::vector<util::Bytes> sat_bytes_requested;
+    std::vector<util::Bytes> sat_bytes_hit;
     std::vector<std::unique_ptr<cache::Cache>> caches;  // per satellite slot
     std::vector<std::uint32_t> prefetch_epoch;          // kPrefetch bookkeeping
     TransientFailureModel transient{0.0};  // same outage schedule per variant
@@ -252,14 +255,14 @@ class Simulator {
   /// Stage-1 fan-out over one chunk: each slot is a pure function of the
   /// request index, seeded by `counter_base` (the shared request-counter
   /// position at the chunk's first request).
-  void build_context(const trace::RequestView& view,
+  void build_context(const trace::RequestBlock& block,
                      std::uint64_t counter_base, bool need_static,
                      std::vector<RequestContext>& ctx);
   /// Stage-2 replay of one chunk for one variant, strictly in trace order.
   /// `trace_epochs` is set for one variant only (or the trace timeline
   /// would repeat per worker); `marked_epoch` carries its epoch-instant
   /// dedup across chunks.
-  void replay_variant(VariantState& vs, const trace::RequestView& view,
+  void replay_variant(VariantState& vs, const trace::RequestBlock& block,
                       const std::vector<RequestContext>& ctx,
                       bool trace_epochs, std::uint64_t& marked_epoch);
 

@@ -239,12 +239,4 @@ ReplayReport replay_cluster(const orbit::Constellation& constellation,
   return report;
 }
 
-ReplayReport replay_cluster(const orbit::Constellation& constellation,
-                            const sched::LinkSchedule& schedule,
-                            const std::vector<trace::Request>& requests,
-                            const ReplayConfig& config) {
-  trace::VectorStream stream(requests);
-  return replay_cluster(constellation, schedule, stream, config);
-}
-
 }  // namespace starcdn::replay

@@ -50,18 +50,14 @@ struct ReplayReport {
 };
 
 /// Replay a chunked time-ordered stream through a per-satellite worker
-/// cluster with O(chunk) trace memory. Throws std::runtime_error on
-/// transport failures.
+/// cluster with O(chunk) trace memory (a materialized trace goes through
+/// trace::VectorStream). Throws std::runtime_error on transport failures
+/// and std::out_of_range (from sched::LinkSchedule) on a request whose
+/// location is not one of the schedule's cities; the workers are shut
+/// down and joined either way.
 [[nodiscard]] ReplayReport replay_cluster(
     const orbit::Constellation& constellation,
     const sched::LinkSchedule& schedule, trace::RequestStream& stream,
     const ReplayConfig& config);
-
-/// Replay `requests` (time-ordered) through a per-satellite worker cluster.
-/// Identical results to the stream overload on the same requests.
-[[nodiscard]] ReplayReport replay_cluster(
-    const orbit::Constellation& constellation,
-    const sched::LinkSchedule& schedule,
-    const std::vector<trace::Request>& requests, const ReplayConfig& config);
 
 }  // namespace starcdn::replay

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "obs/prof.h"
 #include "obs/tracer.h"
@@ -62,8 +64,14 @@ util::EpochIdx LinkSchedule::epoch_of(util::Seconds t) const noexcept {
   return util::EpochIdx{std::min(e, epochs_ - 1)};
 }
 
+void LinkSchedule::throw_bad_city(util::CityId city) const {
+  throw std::out_of_range("LinkSchedule: city " +
+                          std::to_string(city.value()) + " out of range (" +
+                          std::to_string(n_cities_) + " cities)");
+}
+
 Candidate LinkSchedule::first_contact(util::EpochIdx epoch, util::CityId city,
-                                      std::uint64_t user_id) const noexcept {
+                                      std::uint64_t user_id) const {
   const auto& cell = candidates(epoch, city);
   if (cell.empty()) return {};
   // Hash (user, epoch) so each user sticks to one satellite within an epoch

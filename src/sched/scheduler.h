@@ -54,23 +54,28 @@ class LinkSchedule {
   [[nodiscard]] util::EpochIdx epoch_of(util::Seconds t) const noexcept;
 
   /// Candidate set for a city at an epoch (possibly empty during a
-  /// coverage gap).
+  /// coverage gap). Throws std::out_of_range when `city` is not one of the
+  /// schedule's cities.
   [[nodiscard]] const std::vector<Candidate>& candidates(
-      util::EpochIdx epoch, util::CityId city) const noexcept {
+      util::EpochIdx epoch, util::CityId city) const {
+    if (city.value() >= n_cities_) throw_bad_city(city);
     return table_[epoch.value() * n_cities_ + city.value()];
   }
 
   /// First-contact satellite for a logical user, stable within an epoch and
-  /// re-randomized across epochs (the scheduler's 15 s reshuffle).
+  /// re-randomized across epochs (the scheduler's 15 s reshuffle). Throws
+  /// like candidates().
   [[nodiscard]] Candidate first_contact(util::EpochIdx epoch,
                                         util::CityId city,
-                                        std::uint64_t user_id) const noexcept;
+                                        std::uint64_t user_id) const;
 
   /// Mean number of visible satellites across cells (sanity statistic; the
   /// paper quotes "10+ satellites in view").
   [[nodiscard]] double mean_candidates() const noexcept;
 
  private:
+  [[noreturn]] void throw_bad_city(util::CityId city) const;
+
   SchedulerParams params_;
   std::size_t n_cities_ = 0;
   std::size_t epochs_ = 0;

@@ -6,8 +6,9 @@
 // RequestBlock is a structure-of-arrays chunk: the simulator's stage-1
 // context fan-out walks timestamps and locations only, and SoA keeps those
 // scans dense instead of striding 32-byte AoS records. RequestStream is the
-// producer interface; adapters bridge the legacy vector/MultiTrace paths in
-// both directions. DESIGN.md §12 documents the pipeline contract.
+// producer interface and the only input Simulator::run and replay_cluster
+// accept; VectorStream/MultiTraceStream adapt materialized traces to it and
+// collect() drains it back. DESIGN.md §12 documents the pipeline contract.
 #pragma once
 
 #include <cstddef>
@@ -67,34 +68,6 @@ class RequestBlock {
     for (const Bytes s : size) b += s;
     return b;
   }
-};
-
-/// Non-owning view over one chunk of requests in either layout (raw AoS
-/// span or SoA block), so the simulator's replay helpers run unchanged —
-/// and without copying — on both the legacy vector path and the stream
-/// path.
-class RequestView {
- public:
-  RequestView(const Request* aos, std::size_t n) noexcept
-      : aos_(aos), n_(n) {}
-  explicit RequestView(const RequestBlock& block) noexcept
-      : block_(&block), n_(block.count()) {}
-
-  [[nodiscard]] std::size_t count() const noexcept { return n_; }
-  [[nodiscard]] Request operator[](std::size_t i) const noexcept {
-    return aos_ != nullptr ? aos_[i] : block_->at(i);
-  }
-  [[nodiscard]] double timestamp_s(std::size_t i) const noexcept {
-    return aos_ != nullptr ? aos_[i].timestamp_s : block_->timestamp_s[i];
-  }
-  [[nodiscard]] std::uint16_t location(std::size_t i) const noexcept {
-    return aos_ != nullptr ? aos_[i].location : block_->location[i];
-  }
-
- private:
-  const Request* aos_ = nullptr;
-  const RequestBlock* block_ = nullptr;
-  std::size_t n_;
 };
 
 /// Pull-based producer of globally time-ordered request chunks.

@@ -26,6 +26,23 @@ T get(std::ifstream& in) {
   return v;
 }
 
+/// On-disk bytes per request in both formats: f64 timestamp, u64 object,
+/// u64 size, u16 location, unpadded.
+constexpr std::uint64_t kRequestBytes = sizeof(double) + sizeof(ObjectId) +
+                                        sizeof(Bytes) + sizeof(std::uint16_t);
+
+/// Throw `what` unless `count` requests fit in the bytes left after the
+/// read position, so a corrupt count is caught before it sizes a buffer.
+void check_count(std::ifstream& in, std::uint64_t count, const char* what) {
+  const std::streampos here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streampos end = in.tellg();
+  in.seekg(here);
+  if (!in || count > static_cast<std::uint64_t>(end - here) / kRequestBytes) {
+    throw std::runtime_error(what);
+  }
+}
+
 }  // namespace
 
 void write_binary(const LocationTrace& trace, const std::string& path) {
@@ -60,6 +77,7 @@ LocationTrace read_binary(const std::string& path) {
   t.location_name.resize(name_len);
   in.read(t.location_name.data(), name_len);
   const auto count = get<std::uint64_t>(in);
+  check_count(in, count, "trace read: truncated file");
   t.requests.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     Request r;
@@ -107,6 +125,7 @@ class FileRequestStream final : public RequestStream {
     out.clear();
     const auto n = get<std::uint32_t>(in_);
     if (n == 0) return false;
+    check_count(in_, n, "trace stream read: truncated file");
     get_array(in_, out.timestamp_s, n);
     get_array(in_, out.object, n);
     get_array(in_, out.size, n);

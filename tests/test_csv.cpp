@@ -4,15 +4,23 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <string>
 
 namespace starcdn::util {
 namespace {
 
 class CsvTest : public ::testing::Test {
  protected:
-  std::string path_ = (std::filesystem::temp_directory_path() /
-                       "starcdn_csv_test.csv")
-                          .string();
+  // Per-test file name: ctest runs each test in its own process, in
+  // parallel, so a shared name would let tests clobber each other.
+  std::string path_ =
+      (std::filesystem::temp_directory_path() /
+       ("starcdn_csv_test_" +
+        std::string(::testing::UnitTest::GetInstance()
+                        ->current_test_info()
+                        ->name()) +
+        ".csv"))
+          .string();
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

@@ -103,17 +103,18 @@ TEST(Determinism, SimulatorIdenticalAcrossThreadCounts) {
     cfg.buckets = 4;
     cfg.track_per_satellite = true;
     cfg.transient_down_prob = 0.02;  // exercise the per-variant outage model
-    auto sim = std::make_unique<core::Simulator>(shell, schedule, cfg);
-    for (const auto v : variants) sim->add_variant(v);
-    sim->run(requests);
-    return sim;
+    core::Simulator sim(shell, schedule, cfg);
+    for (const auto v : variants) sim.add_variant(v);
+    trace::VectorStream stream(requests, requests.size());
+    sim.run(stream);
+    return sim.finish();
   };
 
-  const auto serial = simulate(1);
-  const auto parallel = simulate(8);
+  const core::RunReport serial = simulate(1);
+  const core::RunReport parallel = simulate(8);
   for (const auto v : variants) {
     SCOPED_TRACE(core::to_string(v));
-    expect_identical(serial->metrics(v), parallel->metrics(v));
+    expect_identical(serial.variant(v).metrics, parallel.variant(v).metrics);
   }
 }
 
@@ -135,17 +136,25 @@ TEST(Determinism, StreamedChunksMatchWholeRunInParallel) {
   cfg.cache_capacity = util::mib(128);
   core::Simulator whole(shell, schedule, cfg);
   whole.add_variant(core::Variant::kStarCdn);
-  whole.run(requests);
+  trace::VectorStream whole_stream(requests, requests.size());
+  whole.run(whole_stream);
+  const core::RunReport whole_report = whole.finish();
 
   core::Simulator chunked(shell, schedule, cfg);
   chunked.add_variant(core::Variant::kStarCdn);
-  const std::size_t third = requests.size() / 3;
-  chunked.run({requests.begin(), requests.begin() + third});
-  chunked.run({requests.begin() + third, requests.begin() + 2 * third});
-  chunked.run({requests.begin() + 2 * third, requests.end()});
+  const auto third = static_cast<std::ptrdiff_t>(requests.size() / 3);
+  const auto at = [&](std::ptrdiff_t k) { return requests.begin() + k; };
+  for (const auto& part :
+       {std::vector<trace::Request>(at(0), at(third)),
+        std::vector<trace::Request>(at(third), at(2 * third)),
+        std::vector<trace::Request>(at(2 * third), requests.end())}) {
+    trace::VectorStream stream(part);
+    chunked.run(stream);
+  }
+  const core::RunReport chunked_report = chunked.finish();
 
-  const auto& a = whole.metrics(core::Variant::kStarCdn);
-  const auto& b = chunked.metrics(core::Variant::kStarCdn);
+  const auto& a = whole_report.variant(core::Variant::kStarCdn).metrics;
+  const auto& b = chunked_report.variant(core::Variant::kStarCdn).metrics;
   EXPECT_EQ(a.hits(), b.hits());
   EXPECT_EQ(a.misses, b.misses);
   EXPECT_EQ(a.uplink_bytes, b.uplink_bytes);

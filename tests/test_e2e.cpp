@@ -47,8 +47,11 @@ TEST(EndToEnd, SpaceGenTraceDrivesSimulatorLikeProduction) {
   const auto hit_rate = [&](const trace::MultiTrace& traces) {
     core::Simulator sim(shell, schedule, cfg);
     sim.add_variant(core::Variant::kVanillaLru);
-    sim.run(trace::merge_by_time(traces));
-    return sim.metrics(core::Variant::kVanillaLru).request_hit_rate();
+    trace::MultiTraceStream stream(traces);
+    sim.run(stream);
+    return sim.finish()
+        .variant(core::Variant::kVanillaLru)
+        .metrics.request_hit_rate();
   };
   const double prod_hr = hit_rate(production);
   const double synth_hr = hit_rate(synthetic);
@@ -69,7 +72,7 @@ TEST(EndToEnd, HeadlineClaimsAtTargetConfiguration) {
   p.requests_per_weight = 30'000;
   p.duration_s = 4 * util::kHour.value();
   const trace::WorkloadModel w(util::paper_cities(), p);
-  const auto requests = trace::merge_by_time(w.generate());
+  const trace::MultiTrace traces = w.generate();
 
   const orbit::Constellation shell{orbit::WalkerParams{}};
   const sched::LinkSchedule schedule(shell, util::paper_cities(), util::Seconds{p.duration_s});
@@ -79,10 +82,12 @@ TEST(EndToEnd, HeadlineClaimsAtTargetConfiguration) {
   core::Simulator sim(shell, schedule, cfg);
   sim.add_variant(core::Variant::kStarCdn);
   sim.add_variant(core::Variant::kVanillaLru);
-  sim.run(requests);
+  trace::MultiTraceStream stream(traces);
+  sim.run(stream);
+  const core::RunReport report = sim.finish();
 
-  const auto& star = sim.metrics(core::Variant::kStarCdn);
-  const auto& lru = sim.metrics(core::Variant::kVanillaLru);
+  const auto& star = report.variant(core::Variant::kStarCdn).metrics;
+  const auto& lru = report.variant(core::Variant::kVanillaLru).metrics;
 
   EXPECT_GT(star.request_hit_rate(), lru.request_hit_rate() + 0.05);
   EXPECT_LT(star.normalized_uplink(), lru.normalized_uplink());

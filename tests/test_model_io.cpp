@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "trace/workload.h"
 #include "util/geo.h"
@@ -30,9 +31,16 @@ class ModelIoTest : public ::testing::Test {
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
-  std::string path_ = (std::filesystem::temp_directory_path() /
-                       "starcdn_models_test.bin")
-                          .string();
+  // Per-test file name: ctest runs each test in its own process, in
+  // parallel, so a shared name would let tests clobber each other.
+  std::string path_ =
+      (std::filesystem::temp_directory_path() /
+       ("starcdn_models_test_" +
+        std::string(::testing::UnitTest::GetInstance()
+                        ->current_test_info()
+                        ->name()) +
+        ".bin"))
+          .string();
   static SpaceGen* gen_;
 };
 

@@ -3,11 +3,15 @@
 // profiler bitwise-neutrality, and the SimConfig::Builder validations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/run_report.h"
@@ -415,7 +419,8 @@ class ObsSimTest : public ::testing::Test {
 
   static core::RunReport run_report(const core::SimConfig& cfg) {
     core::Simulator sim(*shell_, *schedule_, cfg);
-    sim.run(*requests_);
+    trace::VectorStream stream(*requests_);
+    sim.run(stream);
     return sim.finish();
   }
 
@@ -490,6 +495,40 @@ TEST_F(ObsSimTest, SeriesMatchesFinalTotalsAndTracksHandovers) {
     EXPECT_EQ(vr.series.at(vr.series.rows() - 1, req), vr.metrics.requests);
     EXPECT_EQ(vr.series.at(vr.series.rows() - 1, hand),
               vr.metrics.handovers);
+
+    // Every VariantMetrics scalar is the same-named shard counter: finish()
+    // converts the shard once instead of keeping a synced mirror.
+    const core::VariantMetrics& m = vr.metrics;
+    const std::pair<std::string, std::uint64_t> scalars[] = {
+        {"requests", m.requests},
+        {"local_hits", m.local_hits},
+        {"routed_hits", m.routed_hits},
+        {"relay_west_hits", m.relay_west_hits},
+        {"relay_east_hits", m.relay_east_hits},
+        {"misses", m.misses},
+        {"unreachable", m.unreachable},
+        {"transient_misses", m.transient_misses},
+        {"handovers", m.handovers},
+        {"bytes_requested", m.bytes_requested},
+        {"bytes_hit", m.bytes_hit},
+        {"uplink_bytes", m.uplink_bytes},
+        {"isl_bytes", m.isl_bytes},
+        {"prefetch_bytes", m.prefetch_bytes},
+        {"relay_west_only_requests", m.relay.west_only_requests},
+        {"relay_east_only_requests", m.relay.east_only_requests},
+        {"relay_both_requests", m.relay.both_requests},
+        {"relay_west_only_bytes", m.relay.west_only_bytes},
+        {"relay_east_only_bytes", m.relay.east_only_bytes},
+        {"relay_both_bytes", m.relay.both_bytes},
+    };
+    ASSERT_EQ(vr.counters.size(), std::size(scalars)) << vr.name;
+    for (const auto& scalar : scalars) {
+      const auto it = std::find_if(
+          vr.counters.begin(), vr.counters.end(),
+          [&](const auto& c) { return c.first == scalar.first; });
+      ASSERT_NE(it, vr.counters.end()) << vr.name << ' ' << scalar.first;
+      EXPECT_EQ(it->second, scalar.second) << vr.name << ' ' << scalar.first;
+    }
   }
   // LEO first-contact satellites change every few epochs; the static
   // baseline never hands over by construction.
@@ -535,7 +574,8 @@ TEST_F(ObsSimTest, SinksFireOnFinishInRegistrationOrder) {
   std::ostringstream summary_out;
   core::SummarySink summary(summary_out);
   sim.add_sink(summary);
-  sim.run(*requests_);
+  trace::VectorStream stream(*requests_);
+  sim.run(stream);
   const core::RunReport report = sim.finish();
   EXPECT_NE(summary_out.str().find("StarCDN"), std::string::npos);
   EXPECT_NE(summary_out.str().find("req hit rate"), std::string::npos);

@@ -33,6 +33,15 @@ std::vector<trace::Request> small_requests() {
   return reqs;
 }
 
+/// replay_cluster over a materialized trace.
+ReplayReport replay(const orbit::Constellation& shell,
+                    const sched::LinkSchedule& schedule,
+                    const std::vector<trace::Request>& requests,
+                    const ReplayConfig& cfg) {
+  trace::VectorStream stream(requests);
+  return replay_cluster(shell, schedule, stream, cfg);
+}
+
 TEST(Replay, InProcessBasicAccounting) {
   const orbit::Constellation shell{small_shell()};
   const sched::LinkSchedule schedule(shell, util::paper_cities(), util::Seconds{600.0});
@@ -40,7 +49,7 @@ TEST(Replay, InProcessBasicAccounting) {
 
   ReplayConfig cfg;
   cfg.cache_capacity = util::mib(512);
-  const auto report = replay_cluster(shell, schedule, requests, cfg);
+  const auto report = replay(shell, schedule, requests, cfg);
   EXPECT_EQ(report.requests, requests.size());
   EXPECT_GT(report.hits, 0u);
   EXPECT_EQ(report.hits + report.misses, report.requests);
@@ -62,8 +71,8 @@ TEST(Replay, TcpModeMatchesInProcessBitForBit) {
   ReplayConfig tcp = inproc;
   tcp.transport = TransportKind::kTcp;
 
-  const auto a = replay_cluster(shell, schedule, requests, inproc);
-  const auto b = replay_cluster(shell, schedule, requests, tcp);
+  const auto a = replay(shell, schedule, requests, inproc);
+  const auto b = replay(shell, schedule, requests, tcp);
   EXPECT_EQ(a, b);
 }
 
@@ -77,8 +86,8 @@ TEST(Replay, RelayImprovesHitRate) {
   ReplayConfig no_east = with_relay;
   no_east.relay_east = false;
 
-  const auto full = replay_cluster(shell, schedule, requests, with_relay);
-  const auto west_only = replay_cluster(shell, schedule, requests, no_east);
+  const auto full = replay(shell, schedule, requests, with_relay);
+  const auto west_only = replay(shell, schedule, requests, no_east);
   EXPECT_GE(full.hits, west_only.hits);
   EXPECT_GT(full.relay_hits, 0u);
 }
@@ -89,9 +98,26 @@ TEST(Replay, DeterministicAcrossRuns) {
   const auto requests = small_requests();
   ReplayConfig cfg;
   cfg.cache_capacity = util::mib(64);
-  const auto a = replay_cluster(shell, schedule, requests, cfg);
-  const auto b = replay_cluster(shell, schedule, requests, cfg);
+  const auto a = replay(shell, schedule, requests, cfg);
+  const auto b = replay(shell, schedule, requests, cfg);
   EXPECT_EQ(a, b);
+}
+
+TEST(Replay, RejectsLocationOutsideSchedule) {
+  // location == n_cities at the last epoch would read past the end of the
+  // schedule table; the schedule rejects it and the cluster still shuts
+  // down cleanly.
+  const orbit::Constellation shell{small_shell()};
+  const sched::LinkSchedule schedule(shell, util::paper_cities(),
+                                     util::Seconds{600.0});
+  trace::Request r;
+  r.timestamp_s = 599.0;
+  r.object = 1;
+  r.size = 1024;
+  r.location = static_cast<std::uint16_t>(util::paper_cities().size());
+  const std::vector<trace::Request> bad{r};
+  EXPECT_THROW((void)replay(shell, schedule, bad, ReplayConfig{}),
+               std::out_of_range);
 }
 
 }  // namespace

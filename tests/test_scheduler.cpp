@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "util/geo.h"
 
@@ -94,6 +97,23 @@ TEST_F(SchedulerTest, UsersSpreadOverCandidates) {
     sats.insert(schedule_->first_contact(util::EpochIdx{10}, util::CityId{4}, user).sat.value());
   }
   EXPECT_GT(sats.size(), 3u);
+}
+
+TEST_F(SchedulerTest, CityOutOfRangeThrowsNamingBounds) {
+  const util::EpochIdx last{schedule_->epochs() - 1};
+  const util::CityId past{
+      static_cast<std::uint32_t>(util::paper_cities().size())};
+  try {
+    (void)schedule_->candidates(last, past);
+    FAIL() << "candidates() accepted city == n_cities";
+  } catch (const std::out_of_range& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(std::to_string(past.value())), std::string::npos);
+    EXPECT_NE(what.find(std::to_string(util::paper_cities().size())),
+              std::string::npos);
+  }
+  EXPECT_THROW((void)schedule_->first_contact(last, past, 0),
+               std::out_of_range);
 }
 
 TEST(Scheduler, EmptyCellForUncoveredCity) {

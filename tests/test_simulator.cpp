@@ -41,6 +41,13 @@ class SimulatorTest : public ::testing::Test {
     return cfg;
   }
 
+  /// Replay the shared trace through `sim` and seal the run.
+  static RunReport replay(Simulator& sim) {
+    trace::VectorStream stream(*requests_);
+    sim.run(stream);
+    return sim.finish();
+  }
+
   static orbit::Constellation* shell_;
   static trace::WorkloadModel* workload_;
   static std::vector<trace::Request>* requests_;
@@ -56,9 +63,9 @@ TEST_F(SimulatorTest, ConservationInvariants) {
   Simulator sim(*shell_, *schedule_, small_config());
   sim.add_variant(Variant::kStarCdn);
   sim.add_variant(Variant::kVanillaLru);
-  sim.run(*requests_);
+  const RunReport report = replay(sim);
   for (const auto v : {Variant::kStarCdn, Variant::kVanillaLru}) {
-    const auto& m = sim.metrics(v);
+    const auto& m = report.variant(v).metrics;
     EXPECT_EQ(m.requests, requests_->size());
     EXPECT_EQ(m.hits() + m.misses, m.requests);
     EXPECT_EQ(m.bytes_hit + m.uplink_bytes, m.bytes_requested);
@@ -70,8 +77,8 @@ TEST_F(SimulatorTest, ConservationInvariants) {
 TEST_F(SimulatorTest, UplinkEqualsOneMinusByteHitRate) {
   Simulator sim(*shell_, *schedule_, small_config());
   sim.add_variant(Variant::kStarCdn);
-  sim.run(*requests_);
-  const auto& m = sim.metrics(Variant::kStarCdn);
+  const RunReport report = replay(sim);
+  const auto& m = report.variant(Variant::kStarCdn).metrics;
   EXPECT_NEAR(m.normalized_uplink(), 1.0 - m.byte_hit_rate(), 1e-12);
 }
 
@@ -83,11 +90,14 @@ TEST_F(SimulatorTest, VariantOrderingHolds) {
                        Variant::kRelayOnly, Variant::kVanillaLru}) {
     sim.add_variant(v);
   }
-  sim.run(*requests_);
-  const double full = sim.metrics(Variant::kStarCdn).request_hit_rate();
-  const double hash = sim.metrics(Variant::kHashOnly).request_hit_rate();
-  const double relay = sim.metrics(Variant::kRelayOnly).request_hit_rate();
-  const double lru = sim.metrics(Variant::kVanillaLru).request_hit_rate();
+  const RunReport report = replay(sim);
+  const auto hit_rate = [&](Variant v) {
+    return report.variant(v).metrics.request_hit_rate();
+  };
+  const double full = hit_rate(Variant::kStarCdn);
+  const double hash = hit_rate(Variant::kHashOnly);
+  const double relay = hit_rate(Variant::kRelayOnly);
+  const double lru = hit_rate(Variant::kVanillaLru);
   EXPECT_GT(full, hash);
   EXPECT_GT(hash, lru);
   EXPECT_GT(relay, lru);
@@ -99,12 +109,12 @@ TEST_F(SimulatorTest, RelayedFetchOnlyInRelayVariants) {
   for (const auto v : {Variant::kStarCdn, Variant::kHashOnly}) {
     sim.add_variant(v);
   }
-  sim.run(*requests_);
-  EXPECT_GT(sim.metrics(Variant::kStarCdn).relay_west_hits +
-                sim.metrics(Variant::kStarCdn).relay_east_hits,
-            0u);
-  EXPECT_EQ(sim.metrics(Variant::kHashOnly).relay_west_hits, 0u);
-  EXPECT_EQ(sim.metrics(Variant::kHashOnly).relay_east_hits, 0u);
+  const RunReport report = replay(sim);
+  const auto& star = report.variant(Variant::kStarCdn).metrics;
+  const auto& hash = report.variant(Variant::kHashOnly).metrics;
+  EXPECT_GT(star.relay_west_hits + star.relay_east_hits, 0u);
+  EXPECT_EQ(hash.relay_west_hits, 0u);
+  EXPECT_EQ(hash.relay_east_hits, 0u);
 }
 
 TEST_F(SimulatorTest, WestNeighbourDominatesRelays) {
@@ -112,16 +122,16 @@ TEST_F(SimulatorTest, WestNeighbourDominatesRelays) {
   // recent ground track, so most relayed hits come from the west.
   Simulator sim(*shell_, *schedule_, small_config());
   sim.add_variant(Variant::kStarCdn);
-  sim.run(*requests_);
-  const auto& m = sim.metrics(Variant::kStarCdn);
+  const RunReport report = replay(sim);
+  const auto& m = report.variant(Variant::kStarCdn).metrics;
   EXPECT_GT(m.relay_west_hits, m.relay_east_hits);
 }
 
 TEST_F(SimulatorTest, RelayAvailabilityTracked) {
   Simulator sim(*shell_, *schedule_, small_config());
   sim.add_variant(Variant::kStarCdn);
-  sim.run(*requests_);
-  const auto& rel = sim.metrics(Variant::kStarCdn).relay;
+  const RunReport report = replay(sim);
+  const auto& rel = report.variant(Variant::kStarCdn).metrics.relay;
   // Table 3's pattern: west-only dominates east-only and both.
   EXPECT_GT(rel.west_only_requests, rel.east_only_requests);
   EXPECT_GT(rel.west_only_requests, rel.both_requests);
@@ -133,8 +143,8 @@ TEST_F(SimulatorTest, DisablingEastRelayRemovesEastHits) {
   cfg.relay_east = false;
   Simulator sim(*shell_, *schedule_, cfg);
   sim.add_variant(Variant::kStarCdn);
-  sim.run(*requests_);
-  const auto& m = sim.metrics(Variant::kStarCdn);
+  const RunReport report = replay(sim);
+  const auto& m = report.variant(Variant::kStarCdn).metrics;
   EXPECT_EQ(m.relay_east_hits, 0u);
   EXPECT_GT(m.relay_west_hits, 0u);
 }
@@ -142,8 +152,8 @@ TEST_F(SimulatorTest, DisablingEastRelayRemovesEastHits) {
 TEST_F(SimulatorTest, LatencySamplesCollected) {
   Simulator sim(*shell_, *schedule_, small_config());
   sim.add_variant(Variant::kStarCdn);
-  sim.run(*requests_);
-  const auto& lat = sim.metrics(Variant::kStarCdn).latency_ms;
+  const RunReport report = replay(sim);
+  const auto& lat = report.variant(Variant::kStarCdn).metrics.latency_ms;
   EXPECT_EQ(lat.count(), requests_->size());
   // Hits cost a couple of GSL+ISL traversals; misses tens of ms.
   EXPECT_GT(lat.median(), 3.0);
@@ -156,8 +166,8 @@ TEST_F(SimulatorTest, LatencySamplingCanBeDisabled) {
   cfg.sample_latency = false;
   Simulator sim(*shell_, *schedule_, cfg);
   sim.add_variant(Variant::kVanillaLru);
-  sim.run(*requests_);
-  EXPECT_TRUE(sim.metrics(Variant::kVanillaLru).latency_ms.empty());
+  EXPECT_TRUE(
+      replay(sim).variant(Variant::kVanillaLru).metrics.latency_ms.empty());
 }
 
 TEST_F(SimulatorTest, BiggerCacheNeverHurts) {
@@ -165,16 +175,17 @@ TEST_F(SimulatorTest, BiggerCacheNeverHurts) {
   small_cfg.cache_capacity = util::mib(64);
   Simulator small_sim(*shell_, *schedule_, small_cfg);
   small_sim.add_variant(Variant::kVanillaLru);
-  small_sim.run(*requests_);
+  const RunReport small = replay(small_sim);
 
   auto big_cfg = small_config();
   big_cfg.cache_capacity = util::gib(4);
   Simulator big_sim(*shell_, *schedule_, big_cfg);
   big_sim.add_variant(Variant::kVanillaLru);
-  big_sim.run(*requests_);
+  const RunReport big = replay(big_sim);
 
-  EXPECT_GE(big_sim.metrics(Variant::kVanillaLru).request_hit_rate() + 0.001,
-            small_sim.metrics(Variant::kVanillaLru).request_hit_rate());
+  EXPECT_GE(
+      big.variant(Variant::kVanillaLru).metrics.request_hit_rate() + 0.001,
+      small.variant(Variant::kVanillaLru).metrics.request_hit_rate());
 }
 
 TEST_F(SimulatorTest, MoreBucketsImproveHashedHitRate) {
@@ -183,16 +194,16 @@ TEST_F(SimulatorTest, MoreBucketsImproveHashedHitRate) {
   cfg4.buckets = 4;
   Simulator s4(*shell_, *schedule_, cfg4);
   s4.add_variant(Variant::kHashOnly);
-  s4.run(*requests_);
+  const RunReport r4 = replay(s4);
 
   auto cfg9 = small_config();
   cfg9.buckets = 9;
   Simulator s9(*shell_, *schedule_, cfg9);
   s9.add_variant(Variant::kHashOnly);
-  s9.run(*requests_);
+  const RunReport r9 = replay(s9);
 
-  EXPECT_GT(s9.metrics(Variant::kHashOnly).request_hit_rate(),
-            s4.metrics(Variant::kHashOnly).request_hit_rate());
+  EXPECT_GT(r9.variant(Variant::kHashOnly).metrics.request_hit_rate(),
+            r4.variant(Variant::kHashOnly).metrics.request_hit_rate());
 }
 
 TEST_F(SimulatorTest, PerSatelliteTracking) {
@@ -200,8 +211,8 @@ TEST_F(SimulatorTest, PerSatelliteTracking) {
   cfg.track_per_satellite = true;
   Simulator sim(*shell_, *schedule_, cfg);
   sim.add_variant(Variant::kStarCdn);
-  sim.run(*requests_);
-  const auto& m = sim.metrics(Variant::kStarCdn);
+  const RunReport report = replay(sim);
+  const auto& m = report.variant(Variant::kStarCdn).metrics;
   ASSERT_EQ(m.sat_requests.size(), static_cast<std::size_t>(shell_->size()));
   std::uint64_t total = 0, hits = 0;
   for (std::size_t i = 0; i < m.sat_requests.size(); ++i) {
@@ -226,32 +237,53 @@ TEST_F(SimulatorTest, BucketsServedHealthyGridIsOnePerSatellite) {
 TEST_F(SimulatorTest, UnregisteredVariantThrows) {
   Simulator sim(*shell_, *schedule_, small_config());
   sim.add_variant(Variant::kStarCdn);
-  EXPECT_THROW((void)sim.metrics(Variant::kVanillaLru), std::out_of_range);
+  EXPECT_THROW((void)sim.finish().variant(Variant::kVanillaLru),
+               std::out_of_range);
 }
 
 TEST_F(SimulatorTest, DuplicateVariantRegistrationIsNoop) {
   Simulator sim(*shell_, *schedule_, small_config());
   sim.add_variant(Variant::kStarCdn);
   sim.add_variant(Variant::kStarCdn);
-  sim.run(*requests_);
-  EXPECT_EQ(sim.metrics(Variant::kStarCdn).requests, requests_->size());
+  EXPECT_EQ(replay(sim).variant(Variant::kStarCdn).metrics.requests,
+            requests_->size());
 }
 
 TEST_F(SimulatorTest, StreamedRunsAccumulate) {
   Simulator whole(*shell_, *schedule_, small_config());
   whole.add_variant(Variant::kStarCdn);
-  whole.run(*requests_);
+  const RunReport a = replay(whole);
 
   Simulator chunked(*shell_, *schedule_, small_config());
   chunked.add_variant(Variant::kStarCdn);
-  const std::size_t half = requests_->size() / 2;
-  chunked.run({requests_->begin(), requests_->begin() + half});
-  chunked.run({requests_->begin() + half, requests_->end()});
+  const auto half = static_cast<std::ptrdiff_t>(requests_->size() / 2);
+  const std::vector<trace::Request> first(requests_->begin(),
+                                          requests_->begin() + half);
+  const std::vector<trace::Request> second(requests_->begin() + half,
+                                           requests_->end());
+  trace::VectorStream first_stream(first);
+  trace::VectorStream second_stream(second);
+  chunked.run(first_stream);
+  chunked.run(second_stream);
+  const RunReport b = chunked.finish();
 
-  EXPECT_EQ(whole.metrics(Variant::kStarCdn).hits(),
-            chunked.metrics(Variant::kStarCdn).hits());
-  EXPECT_EQ(whole.metrics(Variant::kStarCdn).uplink_bytes,
-            chunked.metrics(Variant::kStarCdn).uplink_bytes);
+  EXPECT_EQ(a.variant(Variant::kStarCdn).metrics.hits(),
+            b.variant(Variant::kStarCdn).metrics.hits());
+  EXPECT_EQ(a.variant(Variant::kStarCdn).metrics.uplink_bytes,
+            b.variant(Variant::kStarCdn).metrics.uplink_bytes);
+}
+
+TEST_F(SimulatorTest, RejectsLocationOutsideSchedule) {
+  // location == n_cities at the last epoch would read past the end of the
+  // schedule table; the schedule rejects it instead.
+  Simulator sim(*shell_, *schedule_, small_config());
+  sim.add_variant(Variant::kStarCdn);
+  trace::Request r = requests_->front();
+  r.location = static_cast<std::uint16_t>(util::paper_cities().size());
+  r.timestamp_s = 2 * util::kHour.value() - 1.0;
+  const std::vector<trace::Request> bad{r};
+  trace::VectorStream stream(bad);
+  EXPECT_THROW(sim.run(stream), std::out_of_range);
 }
 
 // --- Golden regression -------------------------------------------------------
@@ -335,12 +367,14 @@ TEST(SimulatorGolden, MetricsBitwiseIdenticalAcrossCacheRewrite) {
     cfg.buckets = 4;
     Simulator sim(shell, schedule, cfg);
     for (const auto v : kVariants) sim.add_variant(v);
-    sim.run(requests);
+    trace::VectorStream stream(requests);
+    sim.run(stream);
+    const RunReport report = sim.finish();
     for (const auto v : kVariants) {
       const GoldenRow& g = kGolden[row++];
       ASSERT_EQ(g.policy, policy);
       ASSERT_EQ(g.variant, v);
-      const auto& m = sim.metrics(v);
+      const auto& m = report.variant(v).metrics;
       const auto label = std::string(cache::to_string(policy)) + "/variant " +
                          std::to_string(static_cast<int>(v));
       EXPECT_EQ(m.local_hits, g.local_hits) << label;
@@ -377,9 +411,11 @@ TEST(SimulatorFailures, KnockedOutConstellationStillServes) {
   cfg.track_per_satellite = true;
   Simulator sim(shell, schedule, cfg);
   sim.add_variant(Variant::kStarCdn);
-  sim.run(requests);
+  trace::VectorStream stream(requests);
+  sim.run(stream);
+  const RunReport report = sim.finish();
 
-  const auto& m = sim.metrics(Variant::kStarCdn);
+  const auto& m = report.variant(Variant::kStarCdn).metrics;
   EXPECT_EQ(m.requests, requests.size());
   EXPECT_GT(m.request_hit_rate(), 0.2);
 

@@ -336,28 +336,25 @@ TEST(SimulatorStream, BitwiseMatchesMaterializedAcrossChunksAndThreads) {
 
   auto simulate = [&](int threads, std::size_t chunk) {
     ThreadOverrideGuard guard(threads);
-    auto sim = std::make_unique<core::Simulator>(shell, schedule, cfg);
-    for (const auto v : variants) sim->add_variant(v);
-    if (chunk == 0) {
-      sim->run(requests);
-    } else {
-      trace::VectorStream stream(requests, chunk);
-      sim->run(stream);
-    }
-    return sim;
+    core::Simulator sim(shell, schedule, cfg);
+    for (const auto v : variants) sim.add_variant(v);
+    trace::VectorStream stream(requests, chunk);
+    sim.run(stream);
+    return sim.finish();
   };
 
-  const auto reference = simulate(1, 0);
+  // Reference: the whole trace as one block, on one thread.
+  const core::RunReport reference = simulate(1, requests.size());
   for (const int threads : {1, 4, 8}) {
     for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
                                     trace::kDefaultChunkRequests}) {
       SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " chunk=" + std::to_string(chunk));
-      const auto streamed = simulate(threads, chunk);
+      const core::RunReport streamed = simulate(threads, chunk);
       for (const auto v : variants) {
         SCOPED_TRACE(core::to_string(v));
-        expect_identical_metrics(reference->metrics(v),
-                                 streamed->metrics(v));
+        expect_identical_metrics(reference.variant(v).metrics,
+                                 streamed.variant(v).metrics);
       }
     }
   }
@@ -365,8 +362,8 @@ TEST(SimulatorStream, BitwiseMatchesMaterializedAcrossChunksAndThreads) {
 
 TEST(SimulatorStream, GeneratedStreamMatchesMaterializedEndToEnd) {
   // The full pipeline: generate_stream -> Simulator::run(stream) equals
-  // generate + merge_by_time + run(vector), with no materialization on the
-  // stream side.
+  // generate + merge_by_time replayed as one whole-trace block, with no
+  // materialization on the stream side.
   const orbit::Constellation shell{orbit::WalkerParams{}};
   const trace::WorkloadModel workload(util::paper_cities(), small_params());
   const sched::LinkSchedule schedule(shell, util::paper_cities(),
@@ -374,17 +371,20 @@ TEST(SimulatorStream, GeneratedStreamMatchesMaterializedEndToEnd) {
   core::SimConfig cfg;
   cfg.cache_capacity = util::mib(64);
 
+  const auto requests = trace::merge_by_time(workload.generate());
   core::Simulator materialized(shell, schedule, cfg);
   materialized.add_variant(core::Variant::kStarCdn);
-  materialized.run(trace::merge_by_time(workload.generate()));
+  trace::VectorStream whole(requests, requests.size());
+  materialized.run(whole);
 
   core::Simulator streamed(shell, schedule, cfg);
   streamed.add_variant(core::Variant::kStarCdn);
   const auto stream = workload.generate_stream({1024, 8192});
   streamed.run(*stream);
 
-  expect_identical_metrics(materialized.metrics(core::Variant::kStarCdn),
-                           streamed.metrics(core::Variant::kStarCdn));
+  expect_identical_metrics(
+      materialized.finish().variant(core::Variant::kStarCdn).metrics,
+      streamed.finish().variant(core::Variant::kStarCdn).metrics);
 }
 
 TEST(SimulatorStream, EmptyStreamIsANoOp) {
@@ -397,7 +397,8 @@ TEST(SimulatorStream, EmptyStreamIsANoOp) {
   const std::vector<trace::Request> none;
   trace::VectorStream stream(none, 64);
   sim.run(stream);
-  EXPECT_EQ(sim.metrics(core::Variant::kStarCdn).requests, 0u);
+  EXPECT_EQ(sim.finish().variant(core::Variant::kStarCdn).metrics.requests,
+            0u);
 }
 
 }  // namespace

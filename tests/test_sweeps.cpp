@@ -73,7 +73,7 @@ TEST_P(TrafficClassTest, StarCdnBeatsLruForEveryClass) {
   p.requests_per_weight = 5'000;
   p.duration_s = util::kHour.value();
   const trace::WorkloadModel w(util::paper_cities(), p);
-  const auto requests = trace::merge_by_time(w.generate());
+  const trace::MultiTrace traces = w.generate();
 
   const orbit::Constellation shell{orbit::WalkerParams{}};
   const sched::LinkSchedule schedule(shell, util::paper_cities(),
@@ -85,9 +85,12 @@ TEST_P(TrafficClassTest, StarCdnBeatsLruForEveryClass) {
   core::Simulator sim(shell, schedule, cfg);
   sim.add_variant(core::Variant::kStarCdn);
   sim.add_variant(core::Variant::kVanillaLru);
-  sim.run(requests);
-  EXPECT_GT(sim.metrics(core::Variant::kStarCdn).request_hit_rate(),
-            sim.metrics(core::Variant::kVanillaLru).request_hit_rate());
+  trace::MultiTraceStream stream(traces);
+  sim.run(stream);
+  const core::RunReport report = sim.finish();
+  const auto& star = report.variant(core::Variant::kStarCdn).metrics;
+  const auto& lru = report.variant(core::Variant::kVanillaLru).metrics;
+  EXPECT_GT(star.request_hit_rate(), lru.request_hit_rate());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllClasses, TrafficClassTest,
@@ -142,15 +145,18 @@ TEST_P(SimPolicyTest, ConservationUnderEveryPolicy) {
   core::Simulator sim(*shell_, *schedule_, cfg);
   sim.add_variant(core::Variant::kStarCdn);
   sim.add_variant(core::Variant::kVanillaLru);
-  sim.run(*requests_);
+  trace::VectorStream stream(*requests_);
+  sim.run(stream);
+  const core::RunReport report = sim.finish();
   for (const auto v : {core::Variant::kStarCdn, core::Variant::kVanillaLru}) {
-    const auto& m = sim.metrics(v);
+    const auto& m = report.variant(v).metrics;
     EXPECT_EQ(m.requests, requests_->size());
     EXPECT_EQ(m.hits() + m.misses, m.requests);
     EXPECT_EQ(m.bytes_hit + m.uplink_bytes, m.bytes_requested);
   }
-  EXPECT_GT(sim.metrics(core::Variant::kStarCdn).request_hit_rate(),
-            sim.metrics(core::Variant::kVanillaLru).request_hit_rate());
+  const auto& star = report.variant(core::Variant::kStarCdn).metrics;
+  const auto& lru = report.variant(core::Variant::kVanillaLru).metrics;
+  EXPECT_GT(star.request_hit_rate(), lru.request_hit_rate());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, SimPolicyTest,
@@ -175,7 +181,7 @@ TEST_P(BucketSweepTest, HashedVariantsValidAtEveryL) {
   p.requests_per_weight = 2'500;
   p.duration_s = util::kHour.value() / 2;
   const trace::WorkloadModel w(util::paper_cities(), p);
-  const auto requests = trace::merge_by_time(w.generate());
+  const trace::MultiTrace traces = w.generate();
   const sched::LinkSchedule schedule(shell, util::paper_cities(),
                                      util::Seconds{p.duration_s});
   core::SimConfig cfg;
@@ -184,8 +190,10 @@ TEST_P(BucketSweepTest, HashedVariantsValidAtEveryL) {
   cfg.sample_latency = false;
   core::Simulator sim(shell, schedule, cfg);
   sim.add_variant(core::Variant::kStarCdn);
-  sim.run(requests);
-  const auto& m = sim.metrics(core::Variant::kStarCdn);
+  trace::MultiTraceStream stream(traces);
+  sim.run(stream);
+  const core::RunReport report = sim.finish();
+  const auto& m = report.variant(core::Variant::kStarCdn).metrics;
   EXPECT_EQ(m.hits() + m.misses, m.requests);
   EXPECT_GT(m.request_hit_rate(), 0.0);
 }

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 namespace starcdn::trace {
 namespace {
@@ -22,9 +24,13 @@ LocationTrace sample_trace() {
 
 class TraceIoTest : public ::testing::Test {
  protected:
+  /// Per-test file name: ctest runs each test in its own process, in
+  /// parallel, so a shared name would let tests clobber each other.
   std::string path(const char* ext) const {
+    const std::string test =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
     return (std::filesystem::temp_directory_path() /
-            (std::string("starcdn_trace_test.") + ext))
+            ("starcdn_trace_test_" + test + "." + ext))
         .string();
   }
   void TearDown() override {
@@ -81,6 +87,36 @@ TEST_F(TraceIoTest, TruncatedFileRejected) {
   // Truncate mid-record.
   std::filesystem::resize_file(path("bin"), 64);
   EXPECT_THROW((void)read_binary(path("bin")), std::runtime_error);
+}
+
+/// Overwrite a little-endian u32/u64 at `offset` of an existing file.
+template <typename T>
+void patch(const std::string& path, std::streamoff offset, T value) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekp(offset);
+  f.write(reinterpret_cast<const char*>(&value), sizeof value);
+  ASSERT_TRUE(f.good());
+}
+
+TEST_F(TraceIoTest, CorruptCountRejectedBeforeAllocating) {
+  const auto original = sample_trace();
+  write_binary(original, path("bin"));
+  // magic, u16 location, u16 name length, name, then the u64 count.
+  const auto count_at =
+      static_cast<std::streamoff>(8 + 2 + 2 + original.location_name.size());
+  patch(path("bin"), count_at, std::uint64_t{0xFFFFFFFF});
+  EXPECT_THROW((void)read_binary(path("bin")), std::runtime_error);
+}
+
+TEST_F(TraceIoTest, CorruptStreamBlockCountRejectedBeforeAllocating) {
+  const auto original = sample_trace();
+  VectorStream src(original.requests, 64);
+  write_binary_stream(src, path("bin"));
+  // magic, u64 total, then the first block's u32 count.
+  patch(path("bin"), 8 + 8, std::uint32_t{0xFFFFFFFF});
+  const auto reader = open_binary_stream(path("bin"));
+  RequestBlock block;
+  EXPECT_THROW((void)reader->next(block), std::runtime_error);
 }
 
 TEST(TraceIo, MissingFilesThrow) {
