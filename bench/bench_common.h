@@ -6,7 +6,10 @@
 // each output to the paper's numbers.
 #pragma once
 
+#include <charconv>
 #include <chrono>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -159,9 +162,10 @@ capacity_axis() {
 ///   --rss-budget-mb=N  assert peak RSS <= N MB at exit (exit code 3 on
 ///                  breach); an rss_report.csv lands in --out either way
 ///
-/// The Harness installs the process tracer for --trace and writes the
-/// JSON on destruction, so `Harness h(argc, argv, ...)` at the top of
-/// main() is the whole integration.
+/// The Harness installs the process tracer for --trace; on destruction it
+/// writes the JSON and prints the tracer's span profile, so
+/// `Harness h(argc, argv, ...)` at the top of main() is the whole
+/// integration.
 class Harness {
  public:
   struct Options {
@@ -200,6 +204,7 @@ class Harness {
         std::printf("trace: %zu events -> %s (open in ui.perfetto.dev)\n",
                     tracer_->events(), opts_.trace_path.c_str());
       }
+      tracer_->profile().print(std::cout);
     }
     report_rss();
   }
@@ -270,42 +275,67 @@ class Harness {
   }
 
  private:
+  /// Numeric flag values are parsed whole: a sign on an integer, trailing
+  /// junk, overflow or a negative/non-finite real is a usage error (exit
+  /// 2), never a silent wrap to 2^64-1 or a fallback to the default.
   void parse(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
       const std::string a = argv[i];
+      const auto usage = [&](const char* problem) {
+        std::fprintf(stderr,
+                     "%s %s\nusage: %s [--threads=N] [--seed=N] "
+                     "[--out=DIR] [--epochs=N] [--scale=F] [--trace=FILE] "
+                     "[--series=PREFIX] [--chunk=N] [--rss-budget-mb=N]\n",
+                     problem, a.c_str(), argv[0]);
+        std::exit(2);
+      };
       const auto eat = [&](const char* flag, std::string* into) {
         const std::string prefix = std::string(flag) + "=";
         if (a.rfind(prefix, 0) != 0) return false;
         *into = a.substr(prefix.size());
         return true;
       };
+      const auto count = [&](const std::string& v) {
+        std::uint64_t out = 0;
+        const char* end = v.data() + v.size();
+        const auto [p, ec] = std::from_chars(v.data(), end, out);
+        if (v.empty() || ec != std::errc{} || p != end) usage("bad value");
+        return out;
+      };
+      const auto real = [&](const std::string& v) {
+        double out = 0.0;
+        const char* end = v.data() + v.size();
+        const auto [p, ec] = std::from_chars(v.data(), end, out);
+        if (v.empty() || ec != std::errc{} || p != end || !(out >= 0.0) ||
+            !std::isfinite(out)) {
+          usage("bad value");
+        }
+        return out;
+      };
       std::string v;
       if (eat("--threads", &v)) {
-        opts_.threads = std::atoi(v.c_str());
+        const std::uint64_t n = count(v);
+        if (n > static_cast<std::uint64_t>(INT_MAX)) usage("bad value");
+        opts_.threads = static_cast<int>(n);
       } else if (eat("--seed", &v)) {
-        opts_.seed = std::strtoull(v.c_str(), nullptr, 10);
+        opts_.seed = count(v);
       } else if (eat("--out", &v)) {
         opts_.out_dir = v;
       } else if (eat("--epochs", &v)) {
-        opts_.epochs = std::strtoull(v.c_str(), nullptr, 10);
+        opts_.epochs = count(v);
       } else if (eat("--scale", &v)) {
-        opts_.scale = std::atof(v.c_str());
+        opts_.scale = real(v);
         scale_set_ = true;
       } else if (eat("--trace", &v)) {
         opts_.trace_path = v;
       } else if (eat("--series", &v)) {
         opts_.series_prefix = v;
       } else if (eat("--chunk", &v)) {
-        opts_.chunk = std::strtoull(v.c_str(), nullptr, 10);
+        opts_.chunk = count(v);
       } else if (eat("--rss-budget-mb", &v)) {
-        opts_.rss_budget_mb = std::atof(v.c_str());
+        opts_.rss_budget_mb = real(v);
       } else {
-        std::fprintf(stderr,
-                     "unknown flag %s\nusage: %s [--threads=N] [--seed=N] "
-                     "[--out=DIR] [--epochs=N] [--scale=F] [--trace=FILE] "
-                     "[--series=PREFIX] [--chunk=N] [--rss-budget-mb=N]\n",
-                     a.c_str(), argv[0]);
-        std::exit(2);
+        usage("unknown flag");
       }
     }
   }

@@ -13,9 +13,9 @@
 #include "core/run_report.h"
 #include "core/simulator.h"
 #include "net/codec.h"
-#include "obs/prof.h"
 #include "obs/registry.h"
 #include "obs/series.h"
+#include "obs/tracer.h"
 #include "orbit/constellation.h"
 #include "orbit/visibility.h"
 #include "sched/scheduler.h"
@@ -295,16 +295,17 @@ void BM_ObsSeriesAdvance(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsSeriesAdvance);
 
-void BM_ObsProfScope(benchmark::State& state) {
-  // Cost of one STARCDN_PROF_SCOPE; in default builds the macro is
-  // compiled out and this measures an empty loop.
+void BM_ObsTraceSpanNull(benchmark::State& state) {
+  // Cost of one obs::TraceSpan with no tracer installed: what every
+  // untraced run pays per instrumented phase.
+  obs::set_tracer(nullptr);
   for (auto _ : state) {
-    STARCDN_PROF_SCOPE("bench_micro");
+    const obs::TraceSpan span(obs::tracer(), "bench_micro", "core");
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ObsProfScope);
+BENCHMARK(BM_ObsTraceSpanNull);
 
 double time_s(const std::function<void()>& fn) {
   const auto t0 = std::chrono::steady_clock::now();

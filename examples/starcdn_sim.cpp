@@ -17,7 +17,8 @@
 //     --seed N                       workload + simulator seed
 //     --series-csv PREFIX            per-variant epoch time-series CSVs
 //                                    (PREFIX<variant>.csv)
-//     --trace PATH                   chrome://tracing JSON timeline
+//     --trace PATH                   chrome://tracing JSON timeline,
+//                                    plus the span profile on stdout
 //     --json PATH                    full RunReport as JSON
 #include <cstdio>
 #include <cstring>
@@ -165,6 +166,7 @@ int main(int argc, char** argv) {
   for (const auto& p : series.paths()) std::printf("series: %s\n", p.c_str());
   if (trace_sink.written()) {
     std::printf("trace: %s (open in ui.perfetto.dev)\n", trace_path.c_str());
+    tracer.profile().print(std::cout);
   }
   if (!json_path.empty()) {
     std::ofstream out(json_path);

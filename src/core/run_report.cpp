@@ -178,9 +178,6 @@ void RunReport::write_summary(std::ostream& os) const {
          std::to_string(m.handovers)});
   }
   table.print(os, "run summary");
-  if (profile.compiled) {
-    profile.print(os);
-  }
 }
 
 namespace {

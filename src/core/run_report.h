@@ -13,9 +13,10 @@
 // The pieces:
 //
 //   * RunReport       — self-contained result of a run: per-variant
-//                       metrics + epoch time-series + counter snapshots,
-//                       fleet totals, and the hot-path profile. Survives
-//                       the Simulator that produced it.
+//                       metrics + epoch time-series + counter snapshots
+//                       and fleet totals. Survives the Simulator that
+//                       produced it. Timings are not part of it: they
+//                       live in the obs::Tracer (Tracer::profile()).
 //   * MetricsSink     — consumer interface; register sinks with
 //                       Simulator::add_sink() and they fire on finish().
 //   * SeriesCsvSink / SummarySink / TraceJsonSink — stock sinks covering
@@ -30,7 +31,6 @@
 
 #include "core/metrics.h"
 #include "core/variant.h"
-#include "obs/prof.h"
 #include "obs/registry.h"
 #include "obs/series.h"
 
@@ -103,7 +103,6 @@ struct RunReport {
   /// Deterministic cross-variant totals (shards merged in registration
   /// order).
   std::vector<std::pair<std::string, std::uint64_t>> totals;
-  obs::ProfileReport profile;
 
   [[nodiscard]] const VariantReport* find(Variant v) const noexcept;
   /// Throws std::out_of_range when the variant was not registered.
@@ -114,7 +113,7 @@ struct RunReport {
   /// One `<prefix><variant-name>.csv` per variant; returns written paths.
   std::vector<std::string> write_series_csv_files(
       const std::string& prefix) const;
-  /// Aligned per-variant summary table (+ hot-path profile when compiled).
+  /// Aligned per-variant summary table.
   void write_summary(std::ostream& os) const;
   /// Whole report as one JSON object (counters, summary rates, series).
   void write_json(std::ostream& os) const;

@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "obs/prof.h"
 #include "obs/tracer.h"
 #include "util/hash.h"
 #include "util/parallel.h"
@@ -177,7 +176,6 @@ void Simulator::note_sat(VariantState& vs, SatId sat,
 void Simulator::build_context(const trace::RequestBlock& block,
                               std::uint64_t counter_base, bool need_static,
                               std::vector<RequestContext>& ctx) {
-  STARCDN_PROF_SCOPE("Simulator::stage1_context");
   const obs::TraceSpan stage1_span(obs::tracer(), "stage1_context", "core");
   const auto users_per_city =
       static_cast<std::uint64_t>(schedule_->params().users_per_city);
@@ -209,7 +207,6 @@ void Simulator::replay_variant(VariantState& vs,
                                const std::vector<RequestContext>& ctx,
                                bool trace_epochs,
                                std::uint64_t& marked_epoch) {
-  STARCDN_PROF_SCOPE("Simulator::variant_replay");
   const obs::TraceSpan replay_span(obs::tracer(), to_string(vs.variant),
                                    "variant");
   obs::Tracer* const tr = trace_epochs ? obs::tracer() : nullptr;
@@ -234,7 +231,6 @@ void Simulator::replay_variant(VariantState& vs,
 
 void Simulator::run(trace::RequestStream& stream) {
   if (variants_.empty()) return;
-  STARCDN_PROF_SCOPE("Simulator::run");
   obs::TraceSpan run_span(
       obs::tracer(), "Simulator::run", "core",
       {obs::arg("variants", static_cast<std::uint64_t>(variants_.size()))});
@@ -296,7 +292,6 @@ void Simulator::run(trace::RequestStream& stream) {
 }
 
 RunReport Simulator::finish() {
-  STARCDN_PROF_SCOPE("Simulator::finish");
   const obs::TraceSpan span(obs::tracer(), "Simulator::finish", "core");
   RunReport report;
   report.epoch_seconds = schedule_->epoch_duration().value();
@@ -334,7 +329,6 @@ RunReport Simulator::finish() {
     if (d.kind != obs::Kind::kCounter) continue;
     report.totals.emplace_back(d.name, merged.value(obs::CounterId{d.slot}));
   }
-  report.profile = obs::profile_report();
 
   for (MetricsSink* sink : sinks_) sink->consume(report);
   return report;

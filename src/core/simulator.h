@@ -201,11 +201,10 @@ class Simulator {
 
   /// Close the run: seals each variant's epoch series, converts each
   /// variant's shard into VariantReport::metrics, merges the shards
-  /// (registration order — deterministic), collects the hot-path profile,
-  /// feeds every registered sink, and returns the self-contained
-  /// RunReport — the only way to read a run's results. May be called
-  /// repeatedly; each call re-snapshots (and re-feeds the sinks with) the
-  /// current totals.
+  /// (registration order — deterministic), feeds every registered sink,
+  /// and returns the self-contained RunReport — the only way to read a
+  /// run's results. May be called repeatedly; each call re-snapshots (and
+  /// re-feeds the sinks with) the current totals.
   RunReport finish();
 
   [[nodiscard]] const BucketMapper& mapper() const noexcept { return mapper_; }

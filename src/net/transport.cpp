@@ -10,8 +10,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "obs/prof.h"
-
 namespace starcdn::net {
 
 namespace {
@@ -97,7 +95,6 @@ TcpChannel::TcpChannel(int fd) : fd_(fd) {
 TcpChannel::~TcpChannel() { close(); }
 
 void TcpChannel::send(const Message& m) {
-  STARCDN_PROF_SCOPE("TcpChannel::send");
   const auto bytes = encode(m);
   const std::lock_guard lock(send_mu_);
   if (closed_) throw std::runtime_error("TcpChannel: send on closed channel");
@@ -114,7 +111,6 @@ void TcpChannel::send(const Message& m) {
 }
 
 std::optional<Message> TcpChannel::recv_impl(bool blocking) {
-  STARCDN_PROF_SCOPE("TcpChannel::recv");
   const std::lock_guard lock(recv_mu_);
   for (;;) {
     if (auto m = decoder_.next()) return m;

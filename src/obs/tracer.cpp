@@ -1,10 +1,12 @@
 #include "obs/tracer.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <ostream>
 #include <thread>
 
@@ -103,6 +105,51 @@ void Tracer::instant(std::string name, const char* cat,
 std::size_t Tracer::events() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return events_.size();
+}
+
+ProfileReport Tracer::profile() const {
+  std::map<std::string, ProfileEntry> folded;  // name-sorted
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& e : events_) {
+      if (e.ph != 'X') continue;
+      ProfileEntry& p = folded[e.name];
+      const double ms = static_cast<double>(e.dur_us) / 1e3;
+      p.name = e.name;
+      ++p.calls;
+      p.total_ms += ms;
+      p.max_ms = std::max(p.max_ms, ms);
+    }
+  }
+  ProfileReport report;
+  report.entries.reserve(folded.size());
+  for (auto& kv : folded) report.entries.push_back(std::move(kv.second));
+  return report;
+}
+
+void ProfileReport::print(std::ostream& os) const {
+  if (entries.empty()) {
+    os << "profile: no spans recorded\n";
+    return;
+  }
+  std::vector<ProfileEntry> by_total = entries;
+  std::sort(by_total.begin(), by_total.end(),
+            [](const ProfileEntry& a, const ProfileEntry& b) {
+              if (a.total_ms != b.total_ms) return a.total_ms > b.total_ms;
+              return a.name < b.name;
+            });
+  os << "profile (trace spans, wall clock):\n";
+  char line[160];
+  std::snprintf(line, sizeof(line), "  %-36s %10s %12s %10s %10s\n", "span",
+                "calls", "total ms", "mean ms", "max ms");
+  os << line;
+  for (const auto& e : by_total) {
+    std::snprintf(line, sizeof(line),
+                  "  %-36s %10llu %12.3f %10.4f %10.3f\n", e.name.c_str(),
+                  static_cast<unsigned long long>(e.calls), e.total_ms,
+                  e.mean_ms(), e.max_ms);
+    os << line;
+  }
 }
 
 void Tracer::write_json(std::ostream& os) const {

@@ -12,6 +12,10 @@
 // tracing on or off. Event appends are mutex-protected (spans fire at
 // phase granularity, not per request). Install a tracer process-wide with
 // set_tracer(); all instrumentation points no-op on a null tracer.
+//
+// TraceSpan is the codebase's only timing scope. The hot-path profile
+// table is a view of the recorded spans (Tracer::profile()), so timing a
+// phase never needs a second instrument or a special build.
 #pragma once
 
 #include <cstdint>
@@ -46,6 +50,25 @@ struct TraceEvent {
   std::vector<TraceArg> args;
 };
 
+/// One span name's aggregate over a tracer's complete events.
+struct ProfileEntry {
+  std::string name;
+  std::uint64_t calls = 0;
+  double total_ms = 0.0;
+  double max_ms = 0.0;
+
+  [[nodiscard]] double mean_ms() const noexcept {
+    return calls != 0 ? total_ms / static_cast<double>(calls) : 0.0;
+  }
+};
+
+struct ProfileReport {
+  std::vector<ProfileEntry> entries;  ///< folded by name, name-sorted
+
+  /// Aligned hot-path table, sorted by total time descending.
+  void print(std::ostream& os) const;
+};
+
 class Tracer {
  public:
   Tracer();
@@ -61,6 +84,11 @@ class Tracer {
                std::vector<TraceArg> args = {});
 
   [[nodiscard]] std::size_t events() const;
+
+  /// Complete ('X') events folded by name into calls / total / mean / max;
+  /// instants are ignored. Entries are name-sorted, so the shape is
+  /// deterministic even though the timings are not.
+  [[nodiscard]] ProfileReport profile() const;
 
   void write_json(std::ostream& os) const;
   /// Returns false (and logs nothing) when the file cannot be opened.

@@ -6,7 +6,6 @@
 
 #include "core/bucket_mapper.h"
 #include "net/transport.h"
-#include "obs/prof.h"
 #include "obs/tracer.h"
 #include "util/hash.h"
 #include "util/ids.h"
@@ -139,14 +138,12 @@ ReplayReport replay_cluster(const orbit::Constellation& constellation,
                             const sched::LinkSchedule& schedule,
                             trace::RequestStream& stream,
                             const ReplayConfig& config) {
-  STARCDN_PROF_SCOPE("replay_cluster");
   const obs::TraceSpan span(
       obs::tracer(), "replay_cluster", "replay",
       {obs::arg("requests", stream.size_hint().value_or(0)),
        obs::arg("nodes", static_cast<std::int64_t>(constellation.size()))});
   const core::BucketMapper mapper(constellation, config.buckets);
   Cluster cluster = [&] {
-    STARCDN_PROF_SCOPE("replay_cluster::spawn");
     const obs::TraceSpan spawn_span(obs::tracer(), "spawn_cluster", "replay");
     return spawn_cluster(constellation.size(), config);
   }();
@@ -228,7 +225,6 @@ ReplayReport replay_cluster(const orbit::Constellation& constellation,
   }
 
   // Graceful shutdown so worker caches drain deterministically.
-  STARCDN_PROF_SCOPE("replay_cluster::shutdown");
   const obs::TraceSpan bye_span(obs::tracer(), "cluster_shutdown", "replay");
   for (auto& ch : cluster.channels) {
     Message bye;

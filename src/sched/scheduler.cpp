@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "obs/prof.h"
 #include "obs/tracer.h"
 #include "util/hash.h"
 #include "util/parallel.h"
@@ -18,7 +17,6 @@ LinkSchedule::LinkSchedule(const orbit::Constellation& constellation,
                            util::Seconds duration,
                            const SchedulerParams& params)
     : params_(params), n_cities_(cities.size()) {
-  STARCDN_PROF_SCOPE("LinkSchedule::build");
   epochs_ = static_cast<std::size_t>(
       std::max(1.0, std::ceil(duration / params.epoch)));
   const obs::TraceSpan span(

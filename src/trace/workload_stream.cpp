@@ -25,11 +25,14 @@
 //
 // Peak memory is O(window) and generation cost is (1 + windows) cheap
 // replays of the RNG streams plus exactly one object lookup per request.
+// Both passes are traced (category "trace"): one generate_count span and
+// one generate_window span per window, each with its request count.
 #include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "obs/tracer.h"
 #include "trace/stream.h"
 #include "trace/workload.h"
 #include "trace/zipf.h"
@@ -67,17 +70,21 @@ class WorkloadStream final : public RequestStream {
     }
 
     // Counting pass: one cheap replay per city, independent slots.
-    util::parallel_for(cities_, [&](std::size_t c) {
-      auto& counts = counts_[c];
-      counts.assign(minutes_, 0);
-      util::Rng rng = city_rng(c);
-      const DiscreteSampler& minute = *minute_samplers_[c];
-      for (std::size_t i = 0; i < city_n_[c]; ++i) {
-        (void)rng.uniform();  // object draw; lookup deferred to emission
-        ++counts[minute.sample(rng)];
-        (void)rng.uniform();  // intra-minute timestamp fraction
-      }
-    });
+    {
+      const obs::TraceSpan span(obs::tracer(), "generate_count", "trace",
+                                {obs::arg("requests", total_)});
+      util::parallel_for(cities_, [&](std::size_t c) {
+        auto& counts = counts_[c];
+        counts.assign(minutes_, 0);
+        util::Rng rng = city_rng(c);
+        const DiscreteSampler& minute = *minute_samplers_[c];
+        for (std::size_t i = 0; i < city_n_[c]; ++i) {
+          (void)rng.uniform();  // object draw; lookup deferred to emission
+          ++counts[minute.sample(rng)];
+          (void)rng.uniform();  // intra-minute timestamp fraction
+        }
+      });
+    }
 
     // Partition minutes into emission windows of ~window_requests total.
     std::uint64_t acc = 0;
@@ -154,6 +161,7 @@ class WorkloadStream final : public RequestStream {
   }
 
   void fill_window(const Window& w) {
+    obs::TraceSpan span(obs::tracer(), "generate_window", "trace");
     const double clamp_s = model_->params().duration_s - 1e-3;
     util::parallel_for(cities_, [&](std::size_t c) {
       auto& buf = buffers_[c];
@@ -191,6 +199,7 @@ class WorkloadStream final : public RequestStream {
       window_remaining_ += buffers_[c].size();
     }
     tree_.rebuild();
+    span.set_args({obs::arg("requests", window_remaining_)});
   }
 
   const WorkloadModel* model_;

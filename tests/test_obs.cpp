@@ -1,6 +1,7 @@
 // Observability-layer tests (DESIGN.md §11): registry/shard determinism
 // across thread counts, EpochSeries golden CSV, chrome-trace JSON schema,
-// profiler bitwise-neutrality, and the SimConfig::Builder validations.
+// the span profile and span-name schema, tracing bitwise-neutrality, and
+// the SimConfig::Builder validations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,10 +17,12 @@
 
 #include "core/run_report.h"
 #include "core/simulator.h"
-#include "obs/prof.h"
 #include "obs/registry.h"
 #include "obs/series.h"
 #include "obs/tracer.h"
+#include "orbit/constellation.h"
+#include "replay/replayer.h"
+#include "trace/stream.h"
 #include "trace/workload.h"
 #include "util/geo.h"
 #include "util/parallel.h"
@@ -373,6 +376,39 @@ TEST(Tracer, ChromeTraceSchema) {
   EXPECT_EQ(second.at("args").at("idx").scalar, "7");
 }
 
+TEST(Tracer, ProfileAggregatesCompleteEventsByName) {
+  obs::Tracer tracer;
+  tracer.complete("zeta", "core", 0, 4'000);
+  tracer.complete("alpha", "variant", 10, 1'500);
+  tracer.complete("zeta", "core", 20, 2'000);
+  tracer.instant("zeta", "sim");  // instants carry no duration: ignored
+  tracer.complete("alpha", "variant", 30, 500);
+  tracer.complete("zeta", "core", 40, 6'000);
+
+  const obs::ProfileReport p = tracer.profile();
+  ASSERT_EQ(p.entries.size(), 2u);
+  EXPECT_EQ(p.entries[0].name, "alpha");  // name-sorted
+  EXPECT_EQ(p.entries[0].calls, 2u);
+  EXPECT_DOUBLE_EQ(p.entries[0].total_ms, 2.0);
+  EXPECT_DOUBLE_EQ(p.entries[0].max_ms, 1.5);
+  EXPECT_DOUBLE_EQ(p.entries[0].mean_ms(), 1.0);
+  EXPECT_EQ(p.entries[1].name, "zeta");
+  EXPECT_EQ(p.entries[1].calls, 3u);
+  EXPECT_DOUBLE_EQ(p.entries[1].total_ms, 12.0);
+  EXPECT_DOUBLE_EQ(p.entries[1].max_ms, 6.0);
+  EXPECT_DOUBLE_EQ(p.entries[1].mean_ms(), 4.0);
+
+  // The printed table is sorted by total time, largest first.
+  std::ostringstream os;
+  p.print(os);
+  const std::string table = os.str();
+  ASSERT_NE(table.find("zeta"), std::string::npos);
+  ASSERT_NE(table.find("alpha"), std::string::npos);
+  EXPECT_LT(table.find("zeta"), table.find("alpha"));
+
+  EXPECT_TRUE(obs::Tracer{}.profile().entries.empty());
+}
+
 TEST(Tracer, NullTracerIsSafe) {
   obs::set_tracer(nullptr);
   EXPECT_EQ(obs::tracer(), nullptr);
@@ -382,8 +418,131 @@ TEST(Tracer, NullTracerIsSafe) {
 }
 
 // ---------------------------------------------------------------------------
+// Span schema: the names, categories and counts that readers of a trace
+// (the perfbench/ harvest among them) key on.
+
+struct SpanRecord {
+  std::string name;
+  std::string cat;
+  Json args;
+};
+
+/// Complete ('X') events of `tracer`, read back through its JSON export.
+std::vector<SpanRecord> complete_spans(const obs::Tracer& tracer) {
+  std::ostringstream os;
+  tracer.write_json(os);
+  const Json root = parse_json(os.str());
+  std::vector<SpanRecord> out;
+  for (const Json& e : root.at("traceEvents").array) {
+    if (e.at("ph").scalar != "X") continue;
+    out.push_back({e.at("name").scalar, e.at("cat").scalar,
+                   e.has("args") ? e.at("args") : Json{}});
+  }
+  return out;
+}
+
+std::size_t count_spans(const std::vector<SpanRecord>& spans,
+                        const std::string& name, const std::string& cat) {
+  return static_cast<std::size_t>(
+      std::count_if(spans.begin(), spans.end(), [&](const SpanRecord& s) {
+        return s.name == name && s.cat == cat;
+      }));
+}
+
+/// Counts the blocks a consumer pulls from the wrapped stream.
+class CountingStream final : public trace::RequestStream {
+ public:
+  explicit CountingStream(trace::RequestStream& inner) : inner_(&inner) {}
+  [[nodiscard]] bool next(trace::RequestBlock& out) override {
+    const bool got = inner_->next(out);
+    if (got) ++pulled_;
+    return got;
+  }
+  [[nodiscard]] std::size_t pulled() const noexcept { return pulled_; }
+
+ private:
+  trace::RequestStream* inner_;
+  std::size_t pulled_ = 0;
+};
+
+/// Installs `tracer` process-wide for the enclosing scope.
+class ScopedTracer {
+ public:
+  explicit ScopedTracer(obs::Tracer& t) { obs::set_tracer(&t); }
+  ~ScopedTracer() { obs::set_tracer(nullptr); }
+  ScopedTracer(const ScopedTracer&) = delete;
+  ScopedTracer& operator=(const ScopedTracer&) = delete;
+};
+
+TEST(TraceSchema, GenerationSpansCoverEveryRequest) {
+  auto p = trace::default_params(trace::TrafficClass::kVideo);
+  p.object_count = 2'000;
+  p.requests_per_weight = 2'000;
+  p.duration_s = 1 * util::kHour.value();
+  const trace::WorkloadModel workload(util::paper_cities(), p);
+  const std::uint64_t total = workload.total_request_count();
+
+  obs::Tracer tracer;
+  {
+    const ScopedTracer installed(tracer);
+    trace::StreamParams sp;
+    sp.chunk_requests = 4'096;
+    sp.window_requests = static_cast<std::size_t>(total / 5);
+    const auto stream = workload.generate_stream(sp);
+    trace::RequestBlock block;
+    std::uint64_t pulled = 0;
+    while (stream->next(block)) pulled += block.count();
+    EXPECT_EQ(pulled, total);
+  }
+  const std::vector<SpanRecord> spans = complete_spans(tracer);
+  ASSERT_EQ(count_spans(spans, "generate_count", "trace"), 1u);
+  std::uint64_t windowed = 0;
+  std::size_t windows = 0;
+  for (const SpanRecord& s : spans) {
+    if (s.name == "generate_count") {
+      EXPECT_EQ(s.args.at("requests").scalar, std::to_string(total));
+    } else if (s.name == "generate_window") {
+      EXPECT_EQ(s.cat, "trace");
+      windowed += std::stoull(s.args.at("requests").scalar);
+      ++windows;
+    }
+  }
+  EXPECT_GE(windows, 5u);
+  EXPECT_EQ(windowed, total);
+}
+
+TEST(TraceSchema, ScheduleAndClusterReplaySpans) {
+  orbit::WalkerParams wp;
+  wp.planes = 6;
+  wp.slots_per_plane = 4;
+  const orbit::Constellation shell{wp};
+  auto p = trace::default_params(trace::TrafficClass::kVideo);
+  p.object_count = 2'000;
+  p.requests_per_weight = 200;
+  p.duration_s = 600.0;
+  const trace::WorkloadModel workload(util::paper_cities(), p);
+  const auto requests = trace::merge_by_time(workload.generate());
+
+  obs::Tracer tracer;
+  {
+    const ScopedTracer installed(tracer);
+    const sched::LinkSchedule schedule(shell, util::paper_cities(),
+                                       util::Seconds{p.duration_s});
+    trace::VectorStream stream(requests, 1'024);
+    const replay::ReplayReport r =
+        replay::replay_cluster(shell, schedule, stream, replay::ReplayConfig{});
+    EXPECT_EQ(r.requests, requests.size());
+  }
+  const std::vector<SpanRecord> spans = complete_spans(tracer);
+  EXPECT_EQ(count_spans(spans, "LinkSchedule::build", "sched"), 1u);
+  EXPECT_EQ(count_spans(spans, "replay_cluster", "replay"), 1u);
+  EXPECT_EQ(count_spans(spans, "spawn_cluster", "replay"), 1u);
+  EXPECT_EQ(count_spans(spans, "cluster_shutdown", "replay"), 1u);
+}
+
+// ---------------------------------------------------------------------------
 // Simulator-level fixture: a small scenario shared by the determinism,
-// profiler-neutrality, series and sink tests.
+// tracing-neutrality, span-schema, series and sink tests.
 
 class ObsSimTest : public ::testing::Test {
  protected:
@@ -464,23 +623,54 @@ TEST_F(ObsSimTest, RegistryBitwiseIdenticalAcrossThreadCounts) {
   util::set_parallel_threads(0);
 }
 
-// Timers observe the clock only; toggling them must not move a single bit
-// of simulation output. (In default builds the scopes are compiled out and
-// this degenerates to a repeat-run determinism check — still useful.)
-TEST_F(ObsSimTest, ProfilerTogglingIsBitwiseNeutral) {
-  obs::set_prof_enabled(false);
-  const core::RunReport off = run_report(small_config());
-  obs::set_prof_enabled(true);
-  obs::profile_reset();
-  const core::RunReport on = run_report(small_config());
-  expect_reports_bitwise_equal(off, on);
-
-  EXPECT_EQ(on.profile.compiled, obs::prof_compiled());
-  if (!obs::prof_compiled()) {
-    EXPECT_TRUE(on.profile.entries.empty());
-  } else {
-    EXPECT_FALSE(on.profile.entries.empty());
+// Spans observe the clock only: installing a tracer must not move a single
+// bit of simulation output.
+TEST_F(ObsSimTest, TracingIsBitwiseNeutral) {
+  obs::set_tracer(nullptr);
+  const core::RunReport untraced = run_report(small_config());
+  obs::Tracer tracer;
+  core::RunReport traced;
+  {
+    const ScopedTracer installed(tracer);
+    traced = run_report(small_config());
   }
+  expect_reports_bitwise_equal(untraced, traced);
+  EXPECT_GT(tracer.events(), 0u);
+}
+
+// One Simulator run's spans, pinned by name and category: "core" holds the
+// run, its finish and one stage1_context per pulled chunk; "variant" holds
+// one span per chunk per variant, named to_string(variant).
+TEST_F(ObsSimTest, SimulatorSpanSchemaIsPinned) {
+  const core::SimConfig cfg = small_config();
+  const std::size_t chunk = requests_->size() / 6 + 1;
+  obs::Tracer tracer;
+  std::size_t pulled = 0;
+  {
+    const ScopedTracer installed(tracer);
+    core::Simulator sim(*shell_, *schedule_, cfg);
+    trace::VectorStream inner(*requests_, chunk);
+    CountingStream stream(inner);
+    sim.run(stream);
+    (void)sim.finish();
+    pulled = stream.pulled();
+  }
+  ASSERT_EQ(pulled, 6u);
+
+  const std::vector<SpanRecord> spans = complete_spans(tracer);
+  EXPECT_EQ(count_spans(spans, "Simulator::run", "core"), 1u);
+  EXPECT_EQ(count_spans(spans, "Simulator::finish", "core"), 1u);
+  EXPECT_EQ(count_spans(spans, "stage1_context", "core"), pulled);
+  std::size_t variant_spans = 0;
+  for (const core::Variant v : cfg.variants) {
+    EXPECT_EQ(count_spans(spans, core::to_string(v), "variant"), pulled)
+        << core::to_string(v);
+    variant_spans += count_spans(spans, core::to_string(v), "variant");
+  }
+  EXPECT_EQ(variant_spans,
+            static_cast<std::size_t>(std::count_if(
+                spans.begin(), spans.end(),
+                [](const SpanRecord& s) { return s.cat == "variant"; })));
 }
 
 TEST_F(ObsSimTest, SeriesMatchesFinalTotalsAndTracksHandovers) {
