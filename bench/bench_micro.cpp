@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <functional>
 
@@ -21,6 +22,7 @@
 #include "sched/scheduler.h"
 #include "trace/bytestack.h"
 #include "trace/workload.h"
+#include "trace/zipf.h"
 #include "util/geo.h"
 #include "util/hash.h"
 #include "util/parallel.h"
@@ -224,6 +226,34 @@ BENCHMARK(BM_GenerateMaterialized)
     ->Arg(10'000)
     ->Arg(50'000)
     ->Unit(benchmark::kMillisecond);
+
+void BM_DiscreteSamplerIndexOf(benchmark::State& state) {
+  // One inverse-CDF draw from a city-shaped popularity table: Zipf(1.2)
+  // weights in random rank order (object ids are a shuffle of the ranks),
+  // so consecutive draws land at unrelated places in the CDF. The 1,440
+  // row is the size of a day's diurnal minute table.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<std::size_t> ranks(n);
+  for (std::size_t i = 0; i < n; ++i) ranks[i] = i;
+  util::Rng rng(3);
+  for (std::size_t i = n; i > 1; --i) {
+    std::swap(ranks[i - 1], ranks[rng.below(i)]);
+  }
+  std::vector<double> weights(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    weights[i] = std::pow(static_cast<double>(ranks[i] + 1), -1.2);
+  }
+  const trace::DiscreteSampler sampler(weights);
+  std::vector<double> units(1 << 16);
+  for (auto& u : units) u = rng.uniform();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        sampler.index_of(units[i++ & (units.size() - 1)]));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DiscreteSamplerIndexOf)->Arg(1'440)->Arg(300'000);
 
 void BM_Splitmix(benchmark::State& state) {
   std::uint64_t x = 0;

@@ -247,10 +247,14 @@ void Simulator::run(trace::RequestStream& stream) {
   //
   // Double buffer: while the variants replay block `cur`, the extra
   // parallel_for slot pulls the next block from the stream and builds its
-  // stage-1 context (nested parallel_for runs inline on that worker). The
-  // barrier at the end of each parallel_for keeps the hand-off race-free:
-  // the producer is the only writer of blocks[1 - cur]/ctxs[1 - cur], and
-  // nothing reads them until the next iteration.
+  // stage-1 context. That slot is the last one, and parallel_for runs its
+  // last chunk on the calling thread, which is not a pool worker — so the
+  // nested parallel_for calls in build_context and in the stream's next()
+  // (a generator's window fill) fan out across the pool, unless run()
+  // itself was called from a pool worker. The barrier at the end of each
+  // parallel_for keeps the hand-off race-free: the producer is the only
+  // writer of blocks[1 - cur]/ctxs[1 - cur], and nothing reads them until
+  // the next iteration.
   trace::RequestBlock blocks[2];
   std::vector<RequestContext> ctxs[2];
   // Chunk-base bookkeeping: the rotation seed advances by block length, so

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "trace/minute_order.h"
 #include "util/hash.h"
 
 namespace starcdn::trace {
@@ -195,6 +196,8 @@ LocationTrace WorkloadModel::generate_city(std::size_t city,
                                    util::splitmix64(city * 7919 + salt + 1)));
   const DiscreteSampler minute_sampler(diurnal_minute_weights(city));
 
+  const double clamp_s = params_.duration_s - 1e-3;
+
   LocationTrace out;
   out.location = static_cast<std::uint16_t>(city);
   out.location_name = (*cities_)[city].name;
@@ -206,19 +209,17 @@ LocationTrace WorkloadModel::generate_city(std::size_t city,
     r.object = obj;
     r.size = sizes_[static_cast<std::size_t>(obj)];
     r.location = static_cast<std::uint16_t>(city);
-    const double minute = static_cast<double>(minute_sampler.sample(rng));
-    r.timestamp_s = std::min(params_.duration_s - 1e-3,
-                             (minute + rng.uniform()) * util::kMinute.value());
+    const std::size_t minute = minute_sampler.sample(rng);
+    r.timestamp_s = detail::draw_timestamp(minute, rng.uniform(), clamp_s);
     out.requests.push_back(r);
   }
   // Stable: requests with equal timestamps (the end-of-day clamp can
   // collide) keep draw order. This is the tie-break contract the streaming
   // generator (generate_stream) reproduces per time window, so the two
   // paths stay bitwise identical.
-  std::stable_sort(out.requests.begin(), out.requests.end(),
-                   [](const Request& a, const Request& b) {
-                     return a.timestamp_s < b.timestamp_s;
-                   });
+  detail::stable_sort_by_minute(
+      out.requests, minute_sampler.size(),
+      [](const Request& r) { return r.timestamp_s; });
   return out;
 }
 

@@ -124,12 +124,13 @@ class WorkloadModel {
   ///
   /// How: per-city draws replay the exact per-city salted RNG stream of
   /// generate_city in two passes. A counting pass (parallel over cities on
-  /// the PR-1 pool) consumes each draw without the object binary search and
-  /// histograms requests per minute; minutes are then partitioned into
-  /// windows of ~window_requests total. Each window re-replays every city's
-  /// stream, paying the object lookup only for in-window draws, stable-sorts
-  /// the per-city window buffers by timestamp (= generate_city's tie-break)
-  /// and k-way merges them through a loser tree keyed (timestamp, city).
+  /// the shared pool) consumes each draw without the object lookup and
+  /// histograms requests per minute of their final timestamp; minutes are
+  /// then partitioned into windows of ~window_requests total. Each window
+  /// re-replays every city's stream, paying the object lookup only for
+  /// in-window draws, places each draw in its minute's slot and stable-
+  /// sorts inside each minute (= generate_city's order and tie-break), and
+  /// k-way merges the cities through a loser tree keyed (timestamp, city).
   /// The stream keeps a reference to this model; the model must outlive it.
   [[nodiscard]] std::unique_ptr<RequestStream> generate_stream(
       const StreamParams& sp = {}) const;

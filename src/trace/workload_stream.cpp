@@ -5,21 +5,23 @@
 // requests, same global order, for any chunk/window size and thread count.
 // generate_city draws each request with exactly three RNG consumptions
 // (object uniform, diurnal minute, intra-minute fraction) from a per-city
-// salted stream, then stable-sorts by timestamp. Because minute buckets are
-// disjoint ascending timestamp intervals (the end-of-day clamp stays inside
-// the last minute), restricting that stable sort to a contiguous range of
-// minutes equals stable-sorting only the draws of those minutes — so the
-// trace can be produced window by window:
+// salted stream, then stable-sorts by timestamp through per-minute
+// placement (trace/minute_order.h), keyed by minute_key of the final
+// timestamp. That key is monotone in the timestamp, so draws with a lower
+// key are strictly earlier: restricting the stable sort to a contiguous
+// range of keys equals stable-sorting only the draws in that range — so
+// the trace can be produced window by window:
 //
 //   1. Counting pass (parallel over cities): replay each city's RNG stream
-//      consuming draws *without* the object binary search, histogramming
-//      requests per minute.
+//      consuming draws *without* the object lookup, histogramming
+//      requests per minute key.
 //   2. Partition minutes into windows of ~StreamParams::window_requests
 //      total requests.
 //   3. Per window (parallel over cities): re-replay each city's stream,
 //      paying the object lookup (DiscreteSampler::index_of on the already-
-//      consumed uniform) only for in-window draws; stable-sort the window
-//      buffer by timestamp.
+//      consumed uniform) only for in-window draws, and scatter each draw
+//      straight into its minute's slot of the window buffer (the counts
+//      from step 1 size every minute); then stable-sort inside each minute.
 //   4. Merge the per-city buffers through a loser tree keyed (timestamp,
 //      city) — merge_by_time's exact tie-break — into SoA chunks.
 //
@@ -30,9 +32,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "obs/tracer.h"
+#include "trace/minute_order.h"
 #include "trace/stream.h"
 #include "trace/workload.h"
 #include "trace/zipf.h"
@@ -73,6 +77,7 @@ class WorkloadStream final : public RequestStream {
     {
       const obs::TraceSpan span(obs::tracer(), "generate_count", "trace",
                                 {obs::arg("requests", total_)});
+      const double clamp_s = p.duration_s - 1e-3;
       util::parallel_for(cities_, [&](std::size_t c) {
         auto& counts = counts_[c];
         counts.assign(minutes_, 0);
@@ -80,8 +85,9 @@ class WorkloadStream final : public RequestStream {
         const DiscreteSampler& minute = *minute_samplers_[c];
         for (std::size_t i = 0; i < city_n_[c]; ++i) {
           (void)rng.uniform();  // object draw; lookup deferred to emission
-          ++counts[minute.sample(rng)];
-          (void)rng.uniform();  // intra-minute timestamp fraction
+          const std::size_t m = minute.sample(rng);
+          const double ts = detail::draw_timestamp(m, rng.uniform(), clamp_s);
+          ++counts[detail::minute_key(ts, minutes_)];
         }
       });
     }
@@ -166,32 +172,25 @@ class WorkloadStream final : public RequestStream {
     util::parallel_for(cities_, [&](std::size_t c) {
       auto& buf = buffers_[c];
       buf.clear();
-      std::size_t expect = 0;
-      for (std::size_t m = w.begin_minute; m < w.end_minute; ++m) {
-        expect += counts_[c][m];
-      }
-      if (expect == 0) return;  // counting pass proved nothing lands here
-      buf.reserve(expect);
+      detail::MinuteScatter scatter(std::span(counts_[c]).subspan(
+          w.begin_minute, w.end_minute - w.begin_minute));
+      if (scatter.size() == 0) return;  // counting pass: nothing lands here
+      buf.resize(scatter.size());
       const WorkloadModel::CityTable& t = model_->city_tables_[c];
       util::Rng rng = city_rng(c);
       const DiscreteSampler& minute = *minute_samplers_[c];
       for (std::size_t i = 0; i < city_n_[c]; ++i) {
         const double u_obj = rng.uniform();
         const std::size_t m = minute.sample(rng);
-        const double u_ts = rng.uniform();
-        if (m < w.begin_minute || m >= w.end_minute) continue;
-        const ObjectId obj = t.objects[t.sampler->index_of(u_obj)];
-        const double ts =
-            std::min(clamp_s, (static_cast<double>(m) + u_ts) *
-                                  util::kMinute.value());
-        buf.push_back({ts, obj});
+        const double ts = detail::draw_timestamp(m, rng.uniform(), clamp_s);
+        const std::size_t key = detail::minute_key(ts, minutes_);
+        if (key < w.begin_minute || key >= w.end_minute) continue;
+        buf[scatter.place(key - w.begin_minute)] = {
+            ts, t.objects[t.sampler->index_of(u_obj)]};
       }
-      // Equal timestamps keep draw order — generate_city's stable_sort
-      // restricted to this window's minutes.
-      std::stable_sort(buf.begin(), buf.end(),
-                       [](const Draw& a, const Draw& b) {
-                         return a.ts < b.ts;
-                       });
+      // Equal timestamps keep draw order — generate_city's per-minute
+      // placement restricted to this window's minutes.
+      scatter.sort_buckets(buf.data(), [](const Draw& d) { return d.ts; });
     });
     window_remaining_ = 0;
     for (std::size_t c = 0; c < cities_; ++c) {
@@ -208,7 +207,7 @@ class WorkloadStream final : public RequestStream {
   std::size_t minutes_ = 0;
   std::vector<std::size_t> city_n_;
   std::vector<std::unique_ptr<DiscreteSampler>> minute_samplers_;
-  std::vector<std::vector<std::uint32_t>> counts_;  // [city][minute]
+  std::vector<std::vector<std::uint32_t>> counts_;  // [city][minute_key]
   std::vector<Window> windows_;
   std::uint64_t total_ = 0;
   std::uint64_t emitted_ = 0;

@@ -13,9 +13,12 @@
 // determinism tests). STARCDN_THREADS=1 runs every parallel_for inline on
 // the calling thread.
 //
-// Nested parallel_for calls (e.g. a parallel bench sweep whose points each
-// run a parallel simulation) execute inline on the worker: the pool never
-// deadlocks on recursive submission, and the inner loop simply stays serial.
+// A parallel_for called from a pool worker (e.g. inside a parallel bench
+// sweep whose points each run a parallel simulation) executes inline on
+// that worker: the pool never deadlocks on recursive submission, and the
+// inner loop simply stays serial. The calling thread runs the last chunk
+// itself and is not a worker, so a parallel_for nested in the last chunk
+// of a call made outside the pool fans out like any other.
 #pragma once
 
 #include <cstddef>
@@ -66,7 +69,9 @@ void set_parallel_threads(int n) noexcept;
 /// Run body(begin, end) over [0, n) split into `threads` static contiguous
 /// chunks (threads == 0 uses parallel_threads()). Blocks until every chunk
 /// finished; the first exception thrown by any chunk is rethrown here.
-/// Called from a pool worker, runs inline (serial) to avoid deadlock.
+/// Called from a pool worker, runs inline (serial) to avoid deadlock; the
+/// last chunk runs on the calling thread, so a nested call from that chunk
+/// is parallel unless the caller itself is a worker.
 void parallel_for_chunks(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& body,
     int threads = 0);

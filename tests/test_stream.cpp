@@ -5,6 +5,8 @@
 // tie-break exactly.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "trace/trace_io.h"
 #include "trace/workload.h"
 #include "util/geo.h"
+#include "util/hash.h"
 #include "util/loser_tree.h"
 #include "util/parallel.h"
 
@@ -286,6 +289,37 @@ TEST(GenerateStream, AllCitiesEmptyYieldsNothing) {
   ASSERT_EQ(stream->size_hint(), 0u);
   trace::RequestBlock block;
   EXPECT_FALSE(stream->next(block));
+}
+
+/// Order-sensitive hash of every emitted field (timestamp bits, object,
+/// size, location).
+std::uint64_t trace_digest(const std::vector<trace::Request>& requests) {
+  std::uint64_t h = 0;
+  for (const auto& r : requests) {
+    h = util::hash_combine(h, std::bit_cast<std::uint64_t>(r.timestamp_s));
+    h = util::hash_combine(h, static_cast<std::uint64_t>(r.object));
+    h = util::hash_combine(h, static_cast<std::uint64_t>(r.size));
+    h = util::hash_combine(h, r.location);
+  }
+  return h;
+}
+
+TEST(GenerateStream, TraceDigestPinned) {
+  // The identity tests above compare the two generation paths with each
+  // other, so a change to the sampler or the time ordering they share
+  // would pass them. This pins the generated trace itself.
+  const trace::WorkloadModel model(util::paper_cities(), small_params());
+  const std::uint64_t total = model.total_request_count();
+  // A window closes once it holds total / 8 requests, and one minute adds
+  // at most a few percent of the hour, so this makes 7-8 windows.
+  const auto stream = model.generate_stream(
+      {trace::kDefaultChunkRequests, static_cast<std::size_t>(total / 8)});
+  const auto streamed = trace::collect(*stream);
+  ASSERT_EQ(streamed.size(), total);
+  constexpr std::uint64_t kPinned = 0x615bdb87d6ac3c06ULL;
+  EXPECT_EQ(trace_digest(streamed), kPinned)
+      << std::hex << trace_digest(streamed);
+  EXPECT_EQ(trace_digest(trace::merge_by_time(model.generate())), kPinned);
 }
 
 // --- Simulator::run(RequestStream&) ------------------------------------------
