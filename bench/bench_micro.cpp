@@ -101,6 +101,38 @@ void BM_BucketMapping(benchmark::State& state) {
 }
 BENCHMARK(BM_BucketMapping)->Arg(4)->Arg(9)->Arg(25);
 
+// The replay's form of the same lookup: SatId in, SatId out, one load.
+void BM_BucketMappingTable(benchmark::State& state) {
+  const orbit::Constellation shell{orbit::WalkerParams{}};
+  const core::BucketMapper mapper(shell, static_cast<int>(state.range(0)));
+  std::uint64_t id = 0;
+  for (auto _ : state) {
+    const util::BucketId b = mapper.bucket_of_object(++id);
+    benchmark::DoNotOptimize(
+        mapper.owner_of(util::SatId{static_cast<int>(id % 1296)}, b));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BucketMappingTable)->Arg(4)->Arg(9)->Arg(25);
+
+// Construction cost of the mapping tables on the paper's shell with 9.7%
+// of slots out: the work moved out of replay into the Simulator
+// constructor.
+void BM_BucketMapperBuild(benchmark::State& state) {
+  orbit::Constellation shell{orbit::WalkerParams{}};
+  util::Rng rng(2025);
+  shell.knock_out_random(0.097, rng);
+  for (auto _ : state) {
+    const core::BucketMapper mapper(shell, static_cast<int>(state.range(0)));
+    benchmark::DoNotOptimize(&mapper);
+  }
+}
+BENCHMARK(BM_BucketMapperBuild)
+    ->Arg(4)
+    ->Arg(9)
+    ->Arg(25)
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_Propagation(benchmark::State& state) {
   const orbit::Constellation shell{orbit::WalkerParams{}};
   double t = 0.0;

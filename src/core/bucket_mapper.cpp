@@ -3,9 +3,9 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "util/hash.h"
-
 namespace starcdn::core {
+
+using util::SatId;
 
 namespace {
 
@@ -20,6 +20,27 @@ int toroidal_abs(int d, int n) noexcept {
   return std::min(d, n - d);
 }
 
+/// Nearest active satellite to `nominal` by grid distance, kNoSat if none.
+/// Deterministic scan order so every requester resolves the same
+/// substitute (§3.4: "the next available satellite").
+SatId ring_search(const orbit::Constellation& c, orbit::SatelliteId nominal) {
+  if (c.active(nominal)) return c.index_of(nominal);
+  const int max_r = c.planes() / 2 + c.slots_per_plane() / 2;
+  for (int r = 1; r <= max_r; ++r) {
+    for (int dp = -r; dp <= r; ++dp) {
+      const int rem = r - std::abs(dp);
+      for (int ds = -rem;; ds += 2 * rem) {
+        const SatId cand = c.index_of(orbit::grid_id(
+            wrap(nominal.plane.value() + dp, c.planes()),
+            wrap(nominal.slot.value() + ds, c.slots_per_plane())));
+        if (c.active(cand)) return cand;
+        if (ds >= rem) break;
+      }
+    }
+  }
+  return util::kNoSat;
+}
+
 }  // namespace
 
 BucketMapper::BucketMapper(const orbit::Constellation& constellation,
@@ -30,15 +51,56 @@ BucketMapper::BucketMapper(const orbit::Constellation& constellation,
     throw std::invalid_argument(
         "BucketMapper: bucket count must be a positive perfect square");
   }
-  remap_cache_ =
-      std::vector<std::atomic<int>>(static_cast<std::size_t>(constellation.size()));
-  for (auto& entry : remap_cache_) entry.store(-2, std::memory_order_relaxed);
-}
+  const orbit::Constellation& c = constellation;
+  // Hop splits are stored as bytes; a toroidal distance is at most n/2.
+  if (c.planes() / 2 > 255 || c.slots_per_plane() / 2 > 255) {
+    throw std::invalid_argument(
+        "BucketMapper: grid wider than 511 planes or slots per plane");
+  }
+  const auto n = static_cast<std::size_t>(c.size());
+  remap_.resize(n);
+  west_.resize(n);
+  east_.resize(n);
+  west_adjacent_.resize(n);
+  east_adjacent_.resize(n);
+  owner_.resize(n * static_cast<std::size_t>(l_));
+  hops_.resize(owner_.size());
 
-util::BucketId BucketMapper::bucket_of_object(
-    cache::ObjectId id) const noexcept {
-  return util::BucketId{static_cast<std::int32_t>(
-      util::splitmix64(id) % static_cast<std::uint64_t>(l_))};
+  for (int i = 0; i < c.size(); ++i) {
+    remap_[static_cast<std::size_t>(i)] = ring_search(c, c.id_of(SatId{i}));
+  }
+  const auto remapped = [&](orbit::SatelliteId id) {
+    return remap_[util::as_index(c.index_of(id))];
+  };
+  const auto active_or_none = [&](orbit::SatelliteId id) {
+    return c.active(id) ? c.index_of(id) : util::kNoSat;
+  };
+  for (int i = 0; i < c.size(); ++i) {
+    const SatId sat{i};
+    const auto s = util::as_index(sat);
+    const orbit::SatelliteId id = c.id_of(sat);
+    // "West" in the paper's sense: the same-bucket neighbour that traced
+    // this satellite's current ground track one drift interval earlier
+    // (Fig. 3) and therefore holds the region's recent footprint. Ground
+    // tracks drift westward relative to the planes, so the trailing
+    // neighbour is the one `side_` planes in the +RAAN direction.
+    const SatId west = remapped(c.plane_offset(id, side_));
+    const SatId east = remapped(c.plane_offset(id, -side_));
+    west_[s] = west == sat ? util::kNoSat : west;
+    east_[s] = east == sat ? util::kNoSat : east;
+    west_adjacent_[s] = active_or_none(c.inter_east(id));
+    east_adjacent_[s] = active_or_none(c.inter_west(id));
+    for (int b = 0; b < l_; ++b) {
+      const std::size_t k = cell(sat, util::BucketId{b});
+      owner_[k] = remapped(nominal_owner(id, util::BucketId{b}));
+      hops_[k] = Hops{0, 0};
+      if (owner_[k].value() >= 0) {
+        const auto [inter, intra] = hop_split(id, c.id_of(owner_[k]));
+        hops_[k] = Hops{static_cast<std::uint8_t>(inter),
+                        static_cast<std::uint8_t>(intra)};
+      }
+    }
+  }
 }
 
 util::BucketId BucketMapper::bucket_of_slot(
@@ -64,70 +126,6 @@ orbit::SatelliteId BucketMapper::nominal_owner(
   return orbit::grid_id(
       nearest(from.plane.value(), bp, constellation_->planes()),
       nearest(from.slot.value(), bs, constellation_->slots_per_plane()));
-}
-
-std::optional<orbit::SatelliteId> BucketMapper::remap(
-    orbit::SatelliteId nominal) const {
-  const auto& c = *constellation_;
-  const util::SatId idx = c.index_of(nominal);
-  std::atomic<int>& slot = remap_cache_[util::as_index(idx)];
-  const int cached = slot.load(std::memory_order_relaxed);
-  if (cached != -2) {
-    if (cached == -1) return std::nullopt;
-    return c.id_of(util::SatId{cached});
-  }
-  if (c.active(idx)) {
-    slot.store(idx.value(), std::memory_order_relaxed);
-    return nominal;
-  }
-  // Ring search by grid distance; deterministic scan order so every
-  // requester resolves the same substitute (§3.4: "the next available
-  // satellite").
-  const int max_r = c.planes() / 2 + c.slots_per_plane() / 2;
-  for (int r = 1; r <= max_r; ++r) {
-    for (int dp = -r; dp <= r; ++dp) {
-      const int rem = r - std::abs(dp);
-      for (const int ds : rem == 0 ? std::vector<int>{0}
-                                   : std::vector<int>{-rem, rem}) {
-        const orbit::SatelliteId cand =
-            orbit::grid_id(wrap(nominal.plane.value() + dp, c.planes()),
-                           wrap(nominal.slot.value() + ds,
-                                c.slots_per_plane()));
-        const util::SatId cidx = c.index_of(cand);
-        if (c.active(cidx)) {
-          slot.store(cidx.value(), std::memory_order_relaxed);
-          return cand;
-        }
-      }
-    }
-  }
-  slot.store(-1, std::memory_order_relaxed);
-  return std::nullopt;
-}
-
-std::optional<orbit::SatelliteId> BucketMapper::owner(
-    orbit::SatelliteId from, util::BucketId bucket) const {
-  return remap(nominal_owner(from, bucket));
-}
-
-std::optional<orbit::SatelliteId> BucketMapper::west_replica(
-    orbit::SatelliteId owner_sat) const {
-  // "West" in the paper's sense: the same-bucket neighbour that traced this
-  // satellite's current ground track one drift interval earlier (Fig. 3) and
-  // therefore holds the region's recent footprint. Ground tracks drift
-  // westward relative to the planes, so the trailing neighbour is the one
-  // `side_` planes in the +RAAN direction.
-  const auto target = remap(constellation_->plane_offset(owner_sat, side_));
-  if (target && !(*target == owner_sat)) return target;
-  return std::nullopt;
-}
-
-std::optional<orbit::SatelliteId> BucketMapper::east_replica(
-    orbit::SatelliteId owner_sat) const {
-  const auto target =
-      remap(constellation_->plane_offset(owner_sat, -side_));
-  if (target && !(*target == owner_sat)) return target;
-  return std::nullopt;
 }
 
 std::pair<int, int> BucketMapper::hop_split(

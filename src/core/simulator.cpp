@@ -99,11 +99,9 @@ Simulator::Simulator(const orbit::Constellation& constellation,
       if (constellation_->active(idx)) continue;
       std::vector<obs::TraceArg> args{
           obs::arg("sat", static_cast<std::int64_t>(i))};
-      if (const auto target = mapper_.remap(constellation_->id_of(idx))) {
-        args.push_back(obs::arg(
-            "remapped_to",
-            static_cast<std::int64_t>(
-                constellation_->index_of(*target).value())));
+      if (const SatId target = mapper_.remap_of(idx); target.value() >= 0) {
+        args.push_back(obs::arg("remapped_to",
+                                static_cast<std::int64_t>(target.value())));
       }
       tr->instant("sat_failed", "failure", std::move(args));
     }
@@ -349,10 +347,9 @@ void Simulator::maybe_prefetch(VariantState& vs, SatId serving,
   auto& stamp = vs.prefetch_epoch[util::as_index(serving)];
   if (stamp == epoch.value()) return;
   stamp = static_cast<std::uint32_t>(epoch.value());
-  const auto west = mapper_.west_replica(constellation_->id_of(serving));
-  if (!west) return;
-  auto& replica_slot =
-      vs.caches[util::as_index(constellation_->index_of(*west))];
+  const SatId west = mapper_.west_of(serving);
+  if (west.value() < 0) return;
+  auto& replica_slot = vs.caches[util::as_index(west)];
   if (!replica_slot) return;  // neighbour has served nothing yet
   cache::Cache& own = cache_at(vs, serving);
   for (const auto& [id, size] :
@@ -386,31 +383,32 @@ void Simulator::process(VariantState& vs, const trace::Request& r,
   }
 
   const util::Millis gsl{fc.gsl_one_way_ms};
-  const orbit::SatelliteId fc_id = constellation_->id_of(fc.sat);
   const bool hashed = vs.variant == Variant::kHashOnly ||
                       vs.variant == Variant::kStarCdn ||
                       vs.variant == Variant::kPrefetch;
 
   // --- Resolve the serving satellite --------------------------------------
-  orbit::SatelliteId serving = fc_id;
-  util::Millis route{0.0};
+  SatId serving = fc.sat;
+  util::Millis route{0.0};  // read only by the latency samples
   if (hashed) {
     const util::BucketId bucket = mapper_.bucket_of_object(r.object);
-    if (const auto owner = mapper_.owner(fc_id, bucket)) {
-      serving = *owner;
-      const auto [inter, intra] = mapper_.hop_split(fc_id, serving);
-      route = latency_.grid_hops_delay(inter, intra);
+    if (const SatId owner = mapper_.owner_of(fc.sat, bucket);
+        owner.value() >= 0) {
+      serving = owner;
+      if (config_.sample_latency) {
+        const BucketMapper::Hops hops = mapper_.hops_of(fc.sat, bucket);
+        route = latency_.grid_hops_delay(hops.inter, hops.intra);
+      }
     }
   }
-  const SatId serving_idx = constellation_->index_of(serving);
 
   // Transient cache-server outage (§3.4): report a miss and go to ground;
   // nothing is cached and no remapping happens.
-  if (vs.transient.down(serving_idx, util::Seconds{r.timestamp_s})) {
+  if (vs.transient.down(serving, util::Seconds{r.timestamp_s})) {
     sh.add(ids_.transient_misses);
     sh.add(ids_.misses);
     sh.add(ids_.uplink_bytes, r.size);
-    vs.uplink_meter.add(serving_idx, real_epoch, r.size);
+    vs.uplink_meter.add(serving, real_epoch, r.size);
     if (config_.sample_latency) {
       vs.latency_ms.add(
           latency_.miss(gsl, route, latency_.params().default_gsl, vs.rng)
@@ -420,20 +418,20 @@ void Simulator::process(VariantState& vs, const trace::Request& r,
   }
 
   if (vs.variant == Variant::kPrefetch) {
-    maybe_prefetch(vs, serving_idx, sched_epoch);
+    maybe_prefetch(vs, serving, sched_epoch);
   }
-  cache::Cache& serving_cache = cache_at(vs, serving_idx);
+  cache::Cache& serving_cache = cache_at(vs, serving);
 
   // --- Hit at the serving satellite ---------------------------------------
   if (serving_cache.touch(r.object)) {
     sh.add(ids_.bytes_hit, r.size);
-    if (serving_idx == fc.sat) {
+    if (serving == fc.sat) {
       sh.add(ids_.local_hits);
     } else {
       sh.add(ids_.routed_hits);
       sh.add(ids_.isl_bytes, r.size);
     }
-    note_sat(vs, serving_idx, r, true);
+    note_sat(vs, serving, r, true);
     if (config_.sample_latency) {
       vs.latency_ms.add(route.value() > 0.0
                             ? latency_.hit_routed(gsl, route).value()
@@ -441,7 +439,7 @@ void Simulator::process(VariantState& vs, const trace::Request& r,
     }
     return;
   }
-  note_sat(vs, serving_idx, r, false);
+  note_sat(vs, serving, r, false);
 
   // --- Relayed fetch (§3.3) ------------------------------------------------
   const bool relaying = vs.variant == Variant::kRelayOnly ||
@@ -449,33 +447,20 @@ void Simulator::process(VariantState& vs, const trace::Request& r,
   if (relaying) {
     // Same-bucket replicas for the hashed system; immediate inter-orbit
     // neighbours when running without hashing.
-    std::optional<orbit::SatelliteId> west;
-    std::optional<orbit::SatelliteId> east;
-    int relay_hops = 0;
-    if (vs.variant == Variant::kStarCdn) {
-      west = mapper_.west_replica(serving);
-      east = config_.relay_east ? mapper_.east_replica(serving) : std::nullopt;
-      relay_hops = mapper_.tile_side();
-    } else {
-      // Without hashing the replicas are the immediate inter-orbit
-      // neighbours; "west" is the trailing (+RAAN) plane as above.
-      const auto w = constellation_->inter_east(serving);
-      const auto e = constellation_->inter_west(serving);
-      if (constellation_->active(constellation_->index_of(w))) west = w;
-      if (config_.relay_east &&
-          constellation_->active(constellation_->index_of(e))) {
-        east = e;
-      }
-      relay_hops = 1;
-    }
-    const bool west_has =
-        west && vs.caches[util::as_index(constellation_->index_of(*west))] &&
-        vs.caches[util::as_index(constellation_->index_of(*west))]
-            ->peek(r.object);
-    const bool east_has =
-        east && vs.caches[util::as_index(constellation_->index_of(*east))] &&
-        vs.caches[util::as_index(constellation_->index_of(*east))]
-            ->peek(r.object);
+    const bool star = vs.variant == Variant::kStarCdn;
+    const SatId west =
+        star ? mapper_.west_of(serving) : mapper_.west_adjacent(serving);
+    const SatId east = !config_.relay_east ? util::kNoSat
+                       : star ? mapper_.east_of(serving)
+                              : mapper_.east_adjacent(serving);
+    const int relay_hops = star ? mapper_.tile_side() : 1;
+    const auto holds = [&](SatId sat) {
+      if (sat.value() < 0) return false;
+      const auto& replica = vs.caches[util::as_index(sat)];
+      return replica && replica->peek(r.object);
+    };
+    const bool west_has = holds(west);
+    const bool east_has = holds(east);
 
     // Table 3 accounting: what was available among the neighbours when the
     // owner missed.
@@ -491,9 +476,7 @@ void Simulator::process(VariantState& vs, const trace::Request& r,
     }
 
     if (west_has || east_has) {
-      const orbit::SatelliteId replica = west_has ? *west : *east;
-      cache::Cache& replica_cache =
-          cache_at(vs, constellation_->index_of(replica));
+      cache::Cache& replica_cache = cache_at(vs, west_has ? west : east);
       replica_cache.touch(r.object);  // serving refreshes the replica's state
       serving_cache.admit(r.object, r.size);  // backflow: owner caches it
       if (west_has) {
@@ -516,7 +499,7 @@ void Simulator::process(VariantState& vs, const trace::Request& r,
   // --- Total miss: fetch from the ground (uplink spend) --------------------
   sh.add(ids_.misses);
   sh.add(ids_.uplink_bytes, r.size);
-  vs.uplink_meter.add(serving_idx, real_epoch, r.size);
+  vs.uplink_meter.add(serving, real_epoch, r.size);
   serving_cache.admit(r.object, r.size);
   if (config_.sample_latency) {
     vs.latency_ms.add(
@@ -530,8 +513,8 @@ std::vector<int> Simulator::buckets_served_per_satellite() const {
   // remapping; a healthy satellite serves exactly its own slot.
   std::vector<int> served(static_cast<std::size_t>(constellation_->size()), 0);
   for (int i = 0; i < constellation_->size(); ++i) {
-    if (const auto target = mapper_.remap(constellation_->id_of(SatId{i}))) {
-      ++served[util::as_index(constellation_->index_of(*target))];
+    if (const SatId target = mapper_.remap_of(SatId{i}); target.value() >= 0) {
+      ++served[util::as_index(target)];
     }
   }
   return served;

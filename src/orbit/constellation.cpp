@@ -76,16 +76,6 @@ void Constellation::recompute_max_radius() noexcept {
   }
 }
 
-util::SatId Constellation::index_of(SatelliteId id) const noexcept {
-  return util::SatId{id.plane.value() * params_.slots_per_plane +
-                     id.slot.value()};
-}
-
-SatelliteId Constellation::id_of(util::SatId index) const noexcept {
-  return grid_id(index.value() / params_.slots_per_plane,
-                 index.value() % params_.slots_per_plane);
-}
-
 int Constellation::active_count() const noexcept {
   return static_cast<int>(std::count(active_.begin(), active_.end(), true));
 }

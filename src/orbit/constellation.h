@@ -78,8 +78,14 @@ class Constellation {
   }
   [[nodiscard]] const WalkerParams& params() const noexcept { return params_; }
 
-  [[nodiscard]] util::SatId index_of(SatelliteId id) const noexcept;
-  [[nodiscard]] SatelliteId id_of(util::SatId index) const noexcept;
+  [[nodiscard]] util::SatId index_of(SatelliteId id) const noexcept {
+    return util::SatId{id.plane.value() * params_.slots_per_plane +
+                       id.slot.value()};
+  }
+  [[nodiscard]] SatelliteId id_of(util::SatId index) const noexcept {
+    return grid_id(index.value() / params_.slots_per_plane,
+                   index.value() % params_.slots_per_plane);
+  }
 
   [[nodiscard]] bool active(SatelliteId id) const noexcept {
     return active_[util::as_index(index_of(id))];

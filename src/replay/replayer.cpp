@@ -151,8 +151,8 @@ ReplayReport replay_cluster(const orbit::Constellation& constellation,
   ReplayReport report;
   std::uint64_t request_counter = 0;
   std::uint64_t rpc_id = 0;
-  const auto channel_of = [&](orbit::SatelliteId id) -> Channel& {
-    return *cluster.channels[util::as_index(constellation.index_of(id))];
+  const auto channel_of = [&](util::SatId sat) -> Channel& {
+    return *cluster.channels[util::as_index(sat)];
   };
 
   const auto process = [&](const trace::Request& r) {
@@ -169,10 +169,9 @@ ReplayReport replay_cluster(const orbit::Constellation& constellation,
       report.uplink_bytes += r.size;
       return;
     }
-    const auto fc_id = constellation.id_of(fc.sat);
-    const util::BucketId bucket = mapper.bucket_of_object(r.object);
-    const auto owner = mapper.owner(fc_id, bucket);
-    const orbit::SatelliteId serving = owner.value_or(fc_id);
+    const util::SatId owner =
+        mapper.owner_of(fc.sat, mapper.bucket_of_object(r.object));
+    const util::SatId serving = owner.value() >= 0 ? owner : fc.sat;
 
     Message req;
     req.type = MessageType::kRequest;
@@ -187,16 +186,16 @@ ReplayReport replay_cluster(const orbit::Constellation& constellation,
 
     // Relayed fetch: probe same-bucket west then east replicas.
     bool relayed = false;
-    for (const auto& replica :
-         {mapper.west_replica(serving),
-          config.relay_east ? mapper.east_replica(serving) : std::nullopt}) {
-      if (!replica) continue;
+    for (const util::SatId replica :
+         {mapper.west_of(serving),
+          config.relay_east ? mapper.east_of(serving) : util::kNoSat}) {
+      if (replica.value() < 0) continue;
       Message probe;
       probe.type = MessageType::kRelayProbe;
       probe.object_id = r.object;
       probe.size_bytes = r.size;
       probe.request_id = ++rpc_id;
-      const Message reply = rpc(channel_of(*replica), probe);
+      const Message reply = rpc(channel_of(replica), probe);
       if (reply.flags & net::kFlagHit) {
         relayed = true;
         break;

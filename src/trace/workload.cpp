@@ -94,6 +94,9 @@ WorkloadModel::WorkloadModel(const std::vector<util::City>& cities,
                              const WorkloadParams& params)
     : cities_(&cities), params_(params) {
   if (cities.empty()) throw std::invalid_argument("WorkloadModel: no cities");
+  if (params.object_count == 0) {
+    throw std::invalid_argument("WorkloadModel: object_count must be positive");
+  }
   build_universe();
   build_city_tables();
 }
@@ -112,7 +115,6 @@ void WorkloadModel::build_universe() {
   city_w.reserve(cities_->size());
   for (const auto& c : *cities_) city_w.push_back(c.traffic_weight);
   const DiscreteSampler home_sampler(city_w);
-  const ZipfSampler pop_rank(n, params_.zipf_alpha);
 
   // Assign Zipf popularity by giving object i the weight of a random rank;
   // shuffling ranks keeps object ids uncorrelated with popularity.

@@ -86,6 +86,8 @@ struct StreamParams {
 /// A generated object universe plus per-city popularity tables.
 class WorkloadModel {
  public:
+  /// Throws std::invalid_argument on an empty city list or a zero
+  /// `params.object_count`.
   WorkloadModel(const std::vector<util::City>& cities,
                 const WorkloadParams& params);
 

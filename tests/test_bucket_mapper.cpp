@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -24,6 +30,17 @@ TEST(BucketMapper, RejectsNonSquareBucketCounts) {
   EXPECT_NO_THROW(BucketMapper(c, 1));
   EXPECT_NO_THROW(BucketMapper(c, 4));
   EXPECT_NO_THROW(BucketMapper(c, 9));
+}
+
+TEST(BucketMapper, RejectsGridTooWideForByteHopSplits) {
+  // Hop splits are stored as bytes: a toroidal distance must fit in 255.
+  orbit::WalkerParams wide;
+  wide.planes = 511;
+  wide.slots_per_plane = 1;
+  EXPECT_NO_THROW(BucketMapper(orbit::Constellation{wide}, 1));
+  wide.planes = 512;
+  EXPECT_THROW(BucketMapper(orbit::Constellation{wide}, 1),
+               std::invalid_argument);
 }
 
 TEST(BucketMapper, ObjectHashingUniform) {
@@ -189,6 +206,125 @@ TEST(BucketMapper, HopSplitToroidal) {
   const auto [i2, a2] = m.hop_split({0, 0}, {6, 3});
   EXPECT_EQ(i2, 6);
   EXPECT_EQ(a2, 3);
+}
+
+// Reference for the tables, recomputed from the grid geometry alone: the
+// nearest active slot by (plane, slot) ring search in the mapper's scan
+// order, nominal_owner, hop_split and the constellation's neighbours.
+std::optional<orbit::SatelliteId> reference_remap(
+    const orbit::Constellation& c, orbit::SatelliteId nominal) {
+  if (c.active(nominal)) return nominal;
+  const int max_r = c.planes() / 2 + c.slots_per_plane() / 2;
+  for (int r = 1; r <= max_r; ++r) {
+    for (int dp = -r; dp <= r; ++dp) {
+      const int rem = r - std::abs(dp);
+      const std::vector<int> slot_steps =
+          rem == 0 ? std::vector<int>{0} : std::vector<int>{-rem, rem};
+      for (const int ds : slot_steps) {
+        const auto cand = c.slot_offset(c.plane_offset(nominal, dp), ds);
+        if (c.active(cand)) return cand;
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+util::SatId sat_or_none(const orbit::Constellation& c,
+                        const std::optional<orbit::SatelliteId>& id) {
+  return id ? c.index_of(*id) : util::kNoSat;
+}
+
+/// Reference remap target of every slot, by SatId.
+std::vector<util::SatId> reference_remaps(const orbit::Constellation& c) {
+  std::vector<util::SatId> out;
+  for (int i = 0; i < c.size(); ++i) {
+    out.push_back(sat_or_none(c, reference_remap(c, c.id_of(util::SatId{i}))));
+  }
+  return out;
+}
+
+util::SatId adjacent_or_none(const orbit::Constellation& c,
+                             orbit::SatelliteId id) {
+  return c.active(id) ? c.index_of(id) : util::kNoSat;
+}
+
+/// Compares every table entry of an L-bucket mapper over `c` with the
+/// reference; `remap` is reference_remaps(c). Stops after a few
+/// mismatching satellites so a broken table reports briefly.
+void expect_tables_match(const orbit::Constellation& c,
+                         const std::vector<util::SatId>& remap, int L) {
+  const BucketMapper m(c, L);
+  const int side = m.tile_side();
+  const auto remapped = [&](orbit::SatelliteId id) {
+    return remap[util::as_index(c.index_of(id))];
+  };
+  const auto replica = [&](orbit::SatelliteId owner, int dp) {
+    const util::SatId r = remapped(c.plane_offset(owner, dp));
+    return r == c.index_of(owner) ? util::kNoSat : r;
+  };
+  int bad_sats = 0;
+  for (int i = 0; i < c.size() && bad_sats < 5; ++i) {
+    const util::SatId sat{i};
+    const orbit::SatelliteId id = c.id_of(sat);
+    int bad = 0;
+    const auto check = [&](auto got, auto want, const char* what, int b) {
+      EXPECT_EQ(got, want) << what << " of sat " << i << " bucket " << b;
+      bad += got == want ? 0 : 1;
+    };
+    check(m.remap_of(sat), remap[util::as_index(sat)], "remap_of", -1);
+    check(sat_or_none(c, m.remap(id)), remap[util::as_index(sat)], "remap",
+          -1);
+    check(m.west_of(sat), replica(id, side), "west_of", -1);
+    check(m.east_of(sat), replica(id, -side), "east_of", -1);
+    check(sat_or_none(c, m.west_replica(id)), replica(id, side),
+          "west_replica", -1);
+    check(sat_or_none(c, m.east_replica(id)), replica(id, -side),
+          "east_replica", -1);
+    check(m.west_adjacent(sat), adjacent_or_none(c, c.inter_east(id)),
+          "west_adjacent", -1);
+    check(m.east_adjacent(sat), adjacent_or_none(c, c.inter_west(id)),
+          "east_adjacent", -1);
+    for (int b = 0; b < L; ++b) {
+      const util::BucketId bucket{b};
+      const util::SatId want = remapped(m.nominal_owner(id, bucket));
+      check(m.owner_of(sat, bucket), want, "owner_of", b);
+      check(sat_or_none(c, m.owner(id, bucket)), want, "owner", b);
+      const auto [inter, intra] = want.value() >= 0
+                                      ? m.hop_split(id, c.id_of(want))
+                                      : std::pair<int, int>{0, 0};
+      const BucketMapper::Hops hops = m.hops_of(sat, bucket);
+      check(int{hops.inter}, inter, "hops.inter", b);
+      check(int{hops.intra}, intra, "hops.intra", b);
+    }
+    bad_sats += bad > 0 ? 1 : 0;
+  }
+}
+
+TEST(BucketMapper, TablesMatchReferenceGeometry) {
+  // Exhaustive over every (SatId, bucket) of the paper's 72x18 shell.
+  const orbit::Constellation healthy{orbit::WalkerParams{}};
+  orbit::Constellation knocked{orbit::WalkerParams{}};
+  util::Rng rng(2025);
+  knocked.knock_out_random(0.097, rng);  // the paper's out-of-slot rate
+  orbit::Constellation one_alive{orbit::WalkerParams{}};
+  orbit::Constellation all_down{orbit::WalkerParams{}};
+  for (int i = 0; i < all_down.size(); ++i) {
+    const orbit::SatelliteId id = all_down.id_of(util::SatId{i});
+    all_down.set_active(id, false);
+    one_alive.set_active(id, i == 700);
+  }
+  const std::pair<const char*, const orbit::Constellation*> shells[] = {
+      {"healthy", &healthy},
+      {"9.7% knocked out", &knocked},
+      {"one alive", &one_alive},
+      {"all down", &all_down}};
+  for (const auto& [name, shell] : shells) {
+    const std::vector<util::SatId> remap = reference_remaps(*shell);
+    for (const int L : {1, 4, 9, 16, 25}) {
+      SCOPED_TRACE(std::string(name) + " L=" + std::to_string(L));
+      expect_tables_match(*shell, remap, L);
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <unordered_set>
 
 #include "util/geo.h"
@@ -26,6 +28,18 @@ TEST(Workload, DefaultParamsPerClass) {
   EXPECT_GT(dl.size_mu, video.size_mu);
   EXPECT_GT(web.object_count, dl.object_count);
   EXPECT_GT(dl.global_fraction, video.global_fraction);
+}
+
+TEST(WorkloadModel, RejectsZeroObjectCount) {
+  auto p = tiny_params();
+  p.object_count = 0;
+  try {
+    const WorkloadModel w(util::paper_cities(), p);
+    FAIL() << "object_count = 0 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("object_count"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Workload, GenerationIsDeterministic) {
