@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "trace/trace_io.h"
 #include "trace/workload.h"
 #include "util/geo.h"
 
@@ -344,14 +345,15 @@ TEST(SimulatorGolden, MetricsBitwiseIdenticalAcrossCacheRewrite) {
   };
 
   const orbit::Constellation shell{orbit::WalkerParams{}};
-  auto p = trace::default_params(trace::TrafficClass::kVideo);
-  p.object_count = 5'000;
-  p.requests_per_weight = 2'000;
-  p.duration_s = 1'800.0;
-  const trace::WorkloadModel workload(util::paper_cities(), p);
-  const auto requests = trace::merge_by_time(workload.generate());
+  // The trace is a checked-in fixture, so these rows pin the simulator and
+  // the caches only, never the generator: merge_by_time(generate()) of the
+  // video model with 5,000 objects, 2,000 requests per weight and a
+  // 1,800 s day (22,400 requests, seed 42), written with
+  // write_binary_stream before SpaceGEN moved to minute-major draws.
+  const std::string golden_trace =
+      std::string(STARCDN_TEST_DATA_DIR) + "/golden_trace.scdnstr";
   const sched::LinkSchedule schedule(shell, util::paper_cities(),
-                                     util::Seconds{p.duration_s});
+                                     util::Seconds{1'800.0});
   constexpr Variant kVariants[] = {
       Variant::kStatic,   Variant::kVanillaLru, Variant::kHashOnly,
       Variant::kRelayOnly, Variant::kStarCdn,   Variant::kPrefetch,
@@ -367,8 +369,9 @@ TEST(SimulatorGolden, MetricsBitwiseIdenticalAcrossCacheRewrite) {
     cfg.buckets = 4;
     Simulator sim(shell, schedule, cfg);
     for (const auto v : kVariants) sim.add_variant(v);
-    trace::VectorStream stream(requests);
-    sim.run(stream);
+    const auto stream = trace::open_binary_stream(golden_trace);
+    ASSERT_EQ(stream->size_hint(), 22'400u);
+    sim.run(*stream);
     const RunReport report = sim.finish();
     for (const auto v : kVariants) {
       const GoldenRow& g = kGolden[row++];

@@ -126,5 +126,29 @@ TEST(TraceIo, MissingFilesThrow) {
                std::runtime_error);
 }
 
+TEST(GoldenTraceFixture, MatchesItsDocumentedShape) {
+  // tests/data/golden_trace.scdnstr feeds SimulatorGolden: the 1,800 s,
+  // nine-city, 5,000-object video trace with 22,400 requests.
+  const auto reader = open_binary_stream(std::string(STARCDN_TEST_DATA_DIR) +
+                                         "/golden_trace.scdnstr");
+  ASSERT_EQ(reader->size_hint(), 22'400u);
+  RequestBlock block;
+  std::uint64_t n = 0;
+  double last = 0.0;
+  while (reader->next(block)) {
+    for (std::size_t i = 0; i < block.count(); ++i) {
+      const Request r = block.at(i);
+      ASSERT_GE(r.timestamp_s, last) << "request " << n;
+      ASSERT_LT(r.timestamp_s, 1'800.0) << "request " << n;
+      ASSERT_LT(r.object, 5'000u) << "request " << n;
+      ASSERT_LT(r.location, 9u) << "request " << n;
+      ASSERT_GT(r.size, 0u) << "request " << n;
+      last = r.timestamp_s;
+      ++n;
+    }
+  }
+  EXPECT_EQ(n, 22'400u);
+}
+
 }  // namespace
 }  // namespace starcdn::trace
