@@ -175,6 +175,7 @@ void Simulator::build_context(const trace::RequestBlock& block,
                               std::uint64_t counter_base, bool need_static,
                               std::vector<RequestContext>& ctx) {
   const obs::TraceSpan stage1_span(obs::tracer(), "stage1_context", "core");
+  time_order_.check(block);
   const auto users_per_city =
       static_cast<std::uint64_t>(schedule_->params().users_per_city);
   ctx.resize(block.count());

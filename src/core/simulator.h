@@ -196,7 +196,11 @@ class Simulator {
   /// stage-1 request context, so generation/IO overlaps replay.
   ///
   /// Throws std::out_of_range (from sched::LinkSchedule) on a request whose
-  /// location is not one of the schedule's cities.
+  /// location is not one of the schedule's cities, and
+  /// std::invalid_argument (trace::TimeOrderCheck) on a NaN or negative
+  /// timestamp or one earlier than the request before it — also across
+  /// chunks and across run() calls; the message counts the position over
+  /// every request this simulator was given.
   void run(trace::RequestStream& stream);
 
   /// Close the run: seals each variant's epoch series, converts each
@@ -253,7 +257,8 @@ class Simulator {
 
   /// Stage-1 fan-out over one chunk: each slot is a pure function of the
   /// request index, seeded by `counter_base` (the shared request-counter
-  /// position at the chunk's first request).
+  /// position at the chunk's first request). Checks the chunk's time order
+  /// first (time_order_).
   void build_context(const trace::RequestBlock& block,
                      std::uint64_t counter_base, bool need_static,
                      std::vector<RequestContext>& ctx);
@@ -283,6 +288,8 @@ class Simulator {
   CoreMetricIds ids_;
   std::vector<VariantState> variants_;
   std::vector<MetricsSink*> sinks_;
+  // Only build_context touches it, and only one build runs at a time.
+  trace::TimeOrderCheck time_order_;
 };
 
 }  // namespace starcdn::core

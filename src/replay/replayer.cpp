@@ -219,7 +219,9 @@ ReplayReport replay_cluster(const orbit::Constellation& constellation,
   };
 
   trace::RequestBlock block;
+  trace::TimeOrderCheck time_order;
   while (stream.next(block)) {
+    time_order.check(block);
     for (std::size_t i = 0; i < block.count(); ++i) process(block.at(i));
   }
 

@@ -51,9 +51,11 @@ struct ReplayReport {
 
 /// Replay a chunked time-ordered stream through a per-satellite worker
 /// cluster with O(chunk) trace memory (a materialized trace goes through
-/// trace::VectorStream). Throws std::runtime_error on transport failures
-/// and std::out_of_range (from sched::LinkSchedule) on a request whose
-/// location is not one of the schedule's cities; the workers are shut
+/// trace::VectorStream). Throws std::runtime_error on transport failures,
+/// std::out_of_range (from sched::LinkSchedule) on a request whose
+/// location is not one of the schedule's cities, and std::invalid_argument
+/// (trace::TimeOrderCheck) on a NaN or negative timestamp or one earlier
+/// than the request before it, also across chunks; the workers are shut
 /// down and joined either way.
 [[nodiscard]] ReplayReport replay_cluster(
     const orbit::Constellation& constellation,

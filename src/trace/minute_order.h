@@ -1,106 +1,56 @@
-// Per-minute placement: SpaceGEN draws in stable timestamp order without a
-// whole-buffer sort (DESIGN.md §12). Internal to src/trace.
+// Minute-major SpaceGEN draw order (DESIGN.md §12). Internal to src/trace.
 //
-// generate_city and the streaming generator both emit a city's draws in
-// std::stable_sort-by-timestamp order. A draw's timestamp falls in its
-// diurnal minute, so that order is nearly a bucket order already: draws are
-// scattered into minute buckets (stable, so draw order survives inside a
-// bucket) and each bucket is then stable-sorted on its own.
-//
-// The bucket key is minute_key of the *final* timestamp — after the
-// end-of-day clamp and after rounding, which can carry a draw onto the next
-// minute's first instant. The key is monotone non-decreasing in the
-// timestamp, so a lower key implies a strictly earlier timestamp: bucket
-// order never contradicts time order, and equal timestamps always share a
-// bucket. Scatter plus per-bucket stable sort is therefore exactly the
-// global stable sort, ties included, with no assumption about where draws
-// land.
+// A city's trace is drawn in two steps. The counting pass draws only each
+// request's diurnal minute, from the city's RNG. Each (city, minute) cell
+// then draws its requests' objects and intra-minute offsets from an RNG of
+// its own, seeded by (seed, city, minute), and stable-sorts them by
+// timestamp. draw_timestamp keeps every draw strictly inside its minute, so
+// a draw's minute is its cell: a city's trace is its cells concatenated in
+// minute order, and any range of minutes can be drawn without the others.
+// generate_city and the streaming generator both draw through this order,
+// which is what keeps them bitwise identical.
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
+#include "util/hash.h"
 #include "util/units.h"
 
 namespace starcdn::trace::detail {
 
 /// A request's timestamp from its diurnal minute and intra-minute fraction
-/// in [0, 1), clamped to end before the trace does. Every generation path
-/// uses this one formula, so they agree bit for bit.
+/// in [0, 1), clamped to end before the trace does. The result lies in
+/// [minute·60, (minute+1)·60): when rounding carries (minute + fraction)·60
+/// onto the next minute's first instant, the draw takes the last double
+/// before it instead. The end-of-day clamp keeps the last minute's draws in
+/// that minute too, because the trace's minutes end at least 60 s before
+/// its end (for a trace of at least 1 ms).
 [[nodiscard]] inline double draw_timestamp(std::size_t minute,
                                            double fraction,
                                            double clamp_s) noexcept {
-  return std::min(clamp_s, (static_cast<double>(minute) + fraction) *
-                               util::kMinute.value());
+  const double start = static_cast<double>(minute) * util::kMinute.value();
+  const double end = start + util::kMinute.value();
+  const double ts =
+      (static_cast<double>(minute) + fraction) * util::kMinute.value();
+  return std::min(clamp_s, ts < end ? ts : std::nextafter(end, start));
 }
 
-/// Bucket key of a final timestamp: its minute, clamped into
-/// [0, minutes). Monotone non-decreasing in ts (NaN maps to the last
-/// minute).
-[[nodiscard]] inline std::size_t minute_key(double ts,
-                                            std::size_t minutes) noexcept {
-  const double m = ts / util::kMinute.value();
-  const std::size_t last = minutes - 1;
-  if (!(m < static_cast<double>(last))) return last;
-  if (m < 1.0) return 0;
-  return static_cast<std::size_t>(m);
+/// Seed of one (city, minute) cell's RNG, from its city's RNG seed.
+[[nodiscard]] inline std::uint64_t cell_seed(std::uint64_t city_seed,
+                                             std::size_t minute) noexcept {
+  return util::hash_combine(city_seed, util::splitmix64(minute));
 }
 
-/// Stable counting scatter over buckets [0, counts.size()), counts[b]
-/// items each: place(b) hands out bucket b's next slot, so items placed in
-/// draw order keep it inside their bucket; sort_buckets then orders each
-/// bucket by timestamp.
-class MinuteScatter {
- public:
-  explicit MinuteScatter(std::span<const std::uint32_t> counts)
-      : start_(counts.size() + 1), next_(counts.size()) {
-    std::size_t acc = 0;
-    for (std::size_t b = 0; b < counts.size(); ++b) {
-      start_[b] = next_[b] = acc;
-      acc += counts[b];
-    }
-    start_.back() = acc;
-  }
-
-  /// Items the counts announce; the destination must hold this many.
-  [[nodiscard]] std::size_t size() const noexcept { return start_.back(); }
-
-  [[nodiscard]] std::size_t place(std::size_t bucket) noexcept {
-    return next_[bucket]++;
-  }
-
-  template <typename T, typename TsOf>
-  void sort_buckets(T* items, TsOf ts_of) const {
-    for (std::size_t b = 0; b + 1 < start_.size(); ++b) {
-      std::stable_sort(items + start_[b], items + start_[b + 1],
-                       [&ts_of](const T& x, const T& y) {
-                         return ts_of(x) < ts_of(y);
-                       });
-    }
-  }
-
- private:
-  std::vector<std::size_t> start_;  // bucket b is [start_[b], start_[b+1])
-  std::vector<std::size_t> next_;
-};
-
-/// Exactly std::stable_sort(items, by timestamp), as a minute scatter plus
-/// per-minute sorts. `minutes` is the trace's minute count.
-template <typename T, typename TsOf>
-void stable_sort_by_minute(std::vector<T>& items, std::size_t minutes,
-                           TsOf ts_of) {
-  std::vector<std::uint32_t> counts(minutes, 0);
-  for (const T& x : items) ++counts[minute_key(ts_of(x), minutes)];
-  MinuteScatter scatter(counts);
-  std::vector<T> placed(items.size());
-  for (const T& x : items) {
-    placed[scatter.place(minute_key(ts_of(x), minutes))] = x;
-  }
-  scatter.sort_buckets(placed.data(), ts_of);
-  items.swap(placed);
+/// One cell's draws in time order. Stable, so equal timestamps (the
+/// end-of-day clamp can collide) keep draw order.
+template <typename T>
+void sort_cell(std::span<T> cell) {
+  std::stable_sort(cell.begin(), cell.end(),
+                   [](const T& a, const T& b) { return a.ts < b.ts; });
 }
 
 }  // namespace starcdn::trace::detail

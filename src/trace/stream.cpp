@@ -1,6 +1,8 @@
 #include "trace/stream.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "util/loser_tree.h"
 
@@ -92,6 +94,20 @@ bool MultiTraceStream::next(RequestBlock& out) {
   }
   remaining_ -= n;
   return true;
+}
+
+void TimeOrderCheck::check(const RequestBlock& block) {
+  for (std::size_t i = 0; i < block.count(); ++i) {
+    const double ts = block.timestamp_s[i];
+    if (!(ts >= last_)) {
+      throw std::invalid_argument(
+          "request " + std::to_string(checked_ + i) + ": timestamp " +
+          std::to_string(ts) + " s is NaN, negative or earlier than " +
+          std::to_string(last_) + " s before it");
+    }
+    last_ = ts;
+  }
+  checked_ += block.count();
 }
 
 std::vector<Request> collect(RequestStream& stream) {

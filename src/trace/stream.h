@@ -52,6 +52,14 @@ class RequestBlock {
     location.reserve(n);
   }
 
+  /// Every column to `n` entries; new entries are value-initialised.
+  void resize(std::size_t n) {
+    timestamp_s.resize(n);
+    object.resize(n);
+    size.resize(n);
+    location.resize(n);
+  }
+
   void push_back(const Request& r) {
     timestamp_s.push_back(r.timestamp_s);
     object.push_back(r.object);
@@ -131,6 +139,21 @@ class MultiTraceStream final : public RequestStream {
   std::uint64_t total_ = 0;
   std::uint64_t remaining_ = 0;
   std::unique_ptr<Merge> merge_;
+};
+
+/// The ingestion check of a replay: its timestamps must be non-negative,
+/// non-decreasing numbers, across block boundaries too. One compare per
+/// request — `ts >= previous`, the first request compared with 0 — fails
+/// on a NaN, on a negative timestamp and on a step back in time.
+class TimeOrderCheck {
+ public:
+  /// Throws std::invalid_argument naming the offending request's position
+  /// (counted over every block checked so far) and both timestamps.
+  void check(const RequestBlock& block);
+
+ private:
+  double last_ = 0.0;
+  std::uint64_t checked_ = 0;
 };
 
 /// Drain a stream into a materialized vector (tests and small scales; at

@@ -9,6 +9,7 @@
 
 #include "trace/minute_order.h"
 #include "util/hash.h"
+#include "util/parallel.h"
 
 namespace starcdn::trace {
 
@@ -155,22 +156,48 @@ double WorkloadModel::weight(ObjectId id, std::size_t city) const {
   return base * std::exp(-dist / static_cast<double>(reach_km_[i]));
 }
 
-void WorkloadModel::build_city_tables() {
-  city_tables_.resize(cities_->size());
+bool WorkloadModel::in_reach(double w, ObjectId id) const {
   // Weights below this fraction of the object's base weight are treated as
   // out of reach; keeps tables compact and models "content not offered".
   constexpr double kCutoff = 1e-3;
-  for (std::size_t c = 0; c < cities_->size(); ++c) {
-    CityTable& t = city_tables_[c];
+  return w > kCutoff * static_cast<double>(
+                           base_weight_[static_cast<std::size_t>(id)]);
+}
+
+void WorkloadModel::build_city_tables() {
+  city_tables_.resize(cities_->size());
+  // Cities are independent: one task each, so the result does not depend
+  // on the thread count.
+  util::parallel_for(cities_->size(), [&](std::size_t c) {
+    std::vector<std::pair<double, ObjectId>> entries;
     for (std::size_t i = 0; i < sizes_.size(); ++i) {
-      const double w = weight(static_cast<ObjectId>(i), c);
-      if (w > kCutoff * static_cast<double>(base_weight_[i])) {
-        t.objects.push_back(static_cast<ObjectId>(i));
-        t.weights.push_back(w);
-      }
+      const auto id = static_cast<ObjectId>(i);
+      const double w = weight(id, c);
+      if (in_reach(w, id)) entries.emplace_back(w, id);
     }
-    t.sampler = std::make_unique<DiscreteSampler>(t.weights);
-  }
+    // Most popular first (ties by id): the Zipf head, which most draws
+    // hit, then shares a few cache lines of the CDF and of the table.
+    std::sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
+      return a.first != b.first ? a.first > b.first : a.second < b.second;
+    });
+    CityTable& t = city_tables_[c];
+    std::vector<double> weights;
+    weights.reserve(entries.size());
+    t.objects.reserve(entries.size());
+    t.sizes.reserve(entries.size());
+    for (const auto& [w, id] : entries) {
+      weights.push_back(w);
+      t.objects.push_back(id);
+      t.sizes.push_back(sizes_[static_cast<std::size_t>(id)]);
+    }
+    t.sampler = std::make_unique<DiscreteSampler>(weights);
+    t.minutes = std::make_unique<DiscreteSampler>(diurnal_minute_weights(c));
+  });
+}
+
+std::size_t WorkloadModel::minute_count() const noexcept {
+  return static_cast<std::size_t>(
+      std::max(1.0, params_.duration_s / util::kMinute.value()));
 }
 
 std::vector<double> WorkloadModel::diurnal_minute_weights(
@@ -178,10 +205,8 @@ std::vector<double> WorkloadModel::diurnal_minute_weights(
   // Local solar time from longitude; demand peaks around 20:00 local.
   const double lon = (*cities_)[city].coord.lon_deg;
   const double tz_offset_h = lon / 15.0;
-  const std::size_t minutes = static_cast<std::size_t>(
-      std::max(1.0, params_.duration_s / util::kMinute.value()));
-  std::vector<double> w(minutes);
-  for (std::size_t m = 0; m < minutes; ++m) {
+  std::vector<double> w(minute_count());
+  for (std::size_t m = 0; m < w.size(); ++m) {
     const double t_utc_h = static_cast<double>(m) / 60.0;
     const double local_h = std::fmod(t_utc_h + tz_offset_h + 48.0, 24.0);
     w[m] = 1.0 + params_.diurnal_depth *
@@ -190,38 +215,56 @@ std::vector<double> WorkloadModel::diurnal_minute_weights(
   return w;
 }
 
+std::uint64_t WorkloadModel::city_seed(std::size_t city,
+                                       std::uint64_t salt) const noexcept {
+  return util::hash_combine(params_.seed,
+                            util::splitmix64(city * 7919 + salt + 1));
+}
+
+std::vector<std::uint32_t> WorkloadModel::counting_pass(
+    std::size_t city, std::size_t n, std::uint64_t salt) const {
+  const DiscreteSampler& minute = *city_tables_[city].minutes;
+  std::vector<std::uint32_t> counts(minute.size(), 0);
+  util::Rng rng(city_seed(city, salt));
+  for (std::size_t k = 0; k < n; ++k) ++counts[minute.sample(rng)];
+  return counts;
+}
+
+void WorkloadModel::draw_cell(std::size_t city, std::size_t minute,
+                              std::uint64_t salt,
+                              std::span<Draw> out) const {
+  const CityTable& t = city_tables_[city];
+  const double clamp_s = params_.duration_s - 1e-3;
+  util::Rng rng(detail::cell_seed(city_seed(city, salt), minute));
+  for (Draw& d : out) {
+    const std::size_t k = t.sampler->sample(rng);
+    d.object = t.objects[k];
+    d.size = t.sizes[k];
+    d.ts = detail::draw_timestamp(minute, rng.uniform(), clamp_s);
+  }
+  detail::sort_cell(out);
+}
+
 LocationTrace WorkloadModel::generate_city(std::size_t city,
                                            std::size_t n_requests,
                                            std::uint64_t salt) const {
-  const CityTable& t = city_tables_[city];
-  util::Rng rng(util::hash_combine(params_.seed,
-                                   util::splitmix64(city * 7919 + salt + 1)));
-  const DiscreteSampler minute_sampler(diurnal_minute_weights(city));
-
-  const double clamp_s = params_.duration_s - 1e-3;
+  const std::vector<std::uint32_t> counts =
+      counting_pass(city, n_requests, salt);
+  std::vector<Draw> draws(n_requests);
+  std::size_t at = 0;
+  for (std::size_t m = 0; m < counts.size(); ++m) {
+    draw_cell(city, m, salt, std::span(draws).subspan(at, counts[m]));
+    at += counts[m];
+  }
 
   LocationTrace out;
   out.location = static_cast<std::uint16_t>(city);
   out.location_name = (*cities_)[city].name;
   out.requests.reserve(n_requests);
-  for (std::size_t k = 0; k < n_requests; ++k) {
-    const std::size_t idx = t.sampler->sample(rng);
-    const ObjectId obj = t.objects[idx];
-    Request r;
-    r.object = obj;
-    r.size = sizes_[static_cast<std::size_t>(obj)];
-    r.location = static_cast<std::uint16_t>(city);
-    const std::size_t minute = minute_sampler.sample(rng);
-    r.timestamp_s = detail::draw_timestamp(minute, rng.uniform(), clamp_s);
-    out.requests.push_back(r);
+  for (const Draw& d : draws) {
+    out.requests.push_back(
+        {d.ts, d.object, d.size, static_cast<std::uint16_t>(city)});
   }
-  // Stable: requests with equal timestamps (the end-of-day clamp can
-  // collide) keep draw order. This is the tie-break contract the streaming
-  // generator (generate_stream) reproduces per time window, so the two
-  // paths stay bitwise identical.
-  detail::stable_sort_by_minute(
-      out.requests, minute_sampler.size(),
-      [](const Request& r) { return r.timestamp_s; });
   return out;
 }
 
@@ -237,6 +280,18 @@ std::uint64_t WorkloadModel::total_request_count() const {
     total += city_request_count(c);
   }
   return total;
+}
+
+std::vector<std::uint32_t> WorkloadModel::minute_counts(
+    std::size_t city) const {
+  return counting_pass(city, city_request_count(city), 0);
+}
+
+double WorkloadModel::request_probability(ObjectId id,
+                                          std::size_t city) const {
+  const double w = weight(id, city);
+  return in_reach(w, id) ? w / city_tables_[city].sampler->total_weight()
+                         : 0.0;
 }
 
 MultiTrace WorkloadModel::generate() const {

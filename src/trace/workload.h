@@ -14,11 +14,18 @@
 // has a home city, a heavy-tailed base popularity, and a popularity-
 // correlated geographic reach; its weight in city c decays exponentially
 // with distance(home, c)/reach and is scaled by a region-affinity factor.
-// Requests are drawn i.i.d. from the per-city weight tables with Poisson
-// arrivals modulated by a diurnal profile in the city's local time.
+// A city's requests are i.i.d.: each draws a minute from a diurnal profile
+// in the city's local time, an object from the city's weight table and a
+// uniform offset within the minute. Generation draws them minute-major —
+// every request's minute first, then each (city, minute) cell's objects
+// and offsets from an RNG of its own. Conditioned on the per-minute counts
+// the cell draws are still i.i.d., so the trace's distribution is that of
+// the i.i.d. model; only the sample depends on the order (DESIGN.md §12).
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "trace/record.h"
@@ -69,18 +76,12 @@ struct WorkloadParams {
 /// 642TB; downloads: 472M reqs/372TB).
 [[nodiscard]] WorkloadParams default_params(TrafficClass c);
 
-/// Tuning for WorkloadModel::generate_stream. Both knobs trade memory for
-/// speed only — the emitted request sequence is identical for any values.
+/// Tuning for WorkloadModel::generate_stream. It trades memory for speed
+/// only: the emitted request sequence is identical for any value.
 struct StreamParams {
-  /// Requests per yielded RequestBlock.
+  /// Requests per yielded RequestBlock. Each next() draws only the whole
+  /// minutes its block needs, so this also sizes the generator's memory.
   std::size_t chunk_requests = kDefaultChunkRequests;
-  /// Target number of requests (summed over cities) materialized per
-  /// emission window. Peak generator memory is O(window); generation cost
-  /// grows with the window *count* (each window replays every city's RNG
-  /// stream in skip mode), so bigger windows are faster and fatter. The
-  /// default (~4M requests, ~100 MB of window buffers) keeps a paper-scale
-  /// day under a dozen replay passes.
-  std::size_t window_requests = 4u << 20;
 };
 
 /// A generated object universe plus per-city popularity tables.
@@ -110,6 +111,10 @@ class WorkloadModel {
   [[nodiscard]] MultiTrace generate() const;
 
   /// Generate only one city's trace with `n` requests (tests/benches).
+  /// Draws minute-major (trace/minute_order.h): a counting pass draws each
+  /// request's diurnal minute from the city's salted RNG, then every
+  /// (city, minute) cell draws its objects and intra-minute offsets from an
+  /// RNG seeded by (seed, city, minute) and sorts them by timestamp.
   [[nodiscard]] LocationTrace generate_city(std::size_t city,
                                             std::size_t n_requests,
                                             std::uint64_t salt = 0) const;
@@ -120,29 +125,56 @@ class WorkloadModel {
   [[nodiscard]] std::size_t city_request_count(std::size_t city) const;
   [[nodiscard]] std::uint64_t total_request_count() const;
 
+  /// Requests per minute of the city's generate() trace: the counting pass
+  /// alone, without drawing any object or timestamp.
+  [[nodiscard]] std::vector<std::uint32_t> minute_counts(
+      std::size_t city) const;
+
+  /// Probability that one of the city's requests asks for `id`: its weight
+  /// in the city's popularity table over the table's total (0 when the
+  /// object is out of the city's reach).
+  [[nodiscard]] double request_probability(ObjectId id,
+                                           std::size_t city) const;
+
   /// Bounded-memory, globally time-ordered generator: bitwise identical to
-  /// merge_by_time(generate()) — same requests, same order — but with
-  /// O(StreamParams::window_requests) peak memory instead of O(trace).
+  /// merge_by_time(generate()) — same requests, same order — for any chunk
+  /// size and thread count, with O(chunk) generator memory.
   ///
-  /// How: per-city draws replay the exact per-city salted RNG stream of
-  /// generate_city in two passes. A counting pass (parallel over cities on
-  /// the shared pool) consumes each draw without the object lookup and
-  /// histograms requests per minute of their final timestamp; minutes are
-  /// then partitioned into windows of ~window_requests total. Each window
-  /// re-replays every city's stream, paying the object lookup only for
-  /// in-window draws, places each draw in its minute's slot and stable-
-  /// sorts inside each minute (= generate_city's order and tie-break), and
-  /// k-way merges the cities through a loser tree keyed (timestamp, city).
+  /// How: the counting pass runs once per city, in parallel, and gives the
+  /// request count of every (city, minute) cell. Each next() then draws
+  /// only the whole minutes its block needs, in parallel over their cells,
+  /// and merges each minute's cities by (timestamp, city) straight into the
+  /// block; a minute that straddles two blocks keeps its tail for the next
+  /// one. Every request is drawn exactly once.
   /// The stream keeps a reference to this model; the model must outlive it.
   [[nodiscard]] std::unique_ptr<RequestStream> generate_stream(
       const StreamParams& sp = {}) const;
 
  private:
   friend class WorkloadStream;
+  /// One request of a cell, before its city is attached.
+  struct Draw {
+    double ts;
+    ObjectId object;
+    Bytes size;
+  };
+
   void build_universe();
+  /// Whether weight `w` of object `id` in some city puts it in that city's
+  /// popularity table.
+  [[nodiscard]] bool in_reach(double w, ObjectId id) const;
   void build_city_tables();
   [[nodiscard]] std::vector<double> diurnal_minute_weights(
       std::size_t city) const;
+  [[nodiscard]] std::size_t minute_count() const noexcept;
+  [[nodiscard]] std::uint64_t city_seed(std::size_t city,
+                                        std::uint64_t salt) const noexcept;
+  /// The counting pass of an `n`-request trace of `city`.
+  [[nodiscard]] std::vector<std::uint32_t> counting_pass(
+      std::size_t city, std::size_t n, std::uint64_t salt) const;
+  /// Draw cell (city, minute) — out.size() requests — in time order.
+  void draw_cell(std::size_t city, std::size_t minute, std::uint64_t salt,
+                 std::span<Draw> out) const;
 
   const std::vector<util::City>* cities_;
   WorkloadParams params_;
@@ -157,9 +189,10 @@ class WorkloadModel {
   // Per-city popularity tables: object ids with non-negligible weight and a
   // matching sampler.
   struct CityTable {
-    std::vector<ObjectId> objects;
-    std::vector<double> weights;
-    std::unique_ptr<DiscreteSampler> sampler;
+    std::vector<ObjectId> objects;  // by descending weight
+    std::vector<Bytes> sizes;       // sizes[k] = object_size(objects[k])
+    std::unique_ptr<DiscreteSampler> sampler;  // over the objects' weights
+    std::unique_ptr<DiscreteSampler> minutes;  // diurnal minute profile
   };
   std::vector<CityTable> city_tables_;
 };

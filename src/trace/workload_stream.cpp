@@ -2,33 +2,31 @@
 // behind the streaming trace pipeline (DESIGN.md §12).
 //
 // The contract is bitwise identity with merge_by_time(generate()): same
-// requests, same global order, for any chunk/window size and thread count.
-// generate_city draws each request with exactly three RNG consumptions
-// (object uniform, diurnal minute, intra-minute fraction) from a per-city
-// salted stream, then stable-sorts by timestamp through per-minute
-// placement (trace/minute_order.h), keyed by minute_key of the final
-// timestamp. That key is monotone in the timestamp, so draws with a lower
-// key are strictly earlier: restricting the stable sort to a contiguous
-// range of keys equals stable-sorting only the draws in that range — so
-// the trace can be produced window by window:
+// requests, same global order, for any chunk size and thread count. Both
+// paths draw minute-major (trace/minute_order.h): a city's trace is its
+// (city, minute) cells in minute order, each cell drawn from an RNG of its
+// own and sorted by timestamp, and every timestamp lies inside its cell's
+// minute. The merged trace is therefore, minute by minute, the (timestamp,
+// city) merge of that minute's cells, and each minute can be produced on
+// its own:
 //
-//   1. Counting pass (parallel over cities): replay each city's RNG stream
-//      consuming draws *without* the object lookup, histogramming
-//      requests per minute key.
-//   2. Partition minutes into windows of ~StreamParams::window_requests
-//      total requests.
-//   3. Per window (parallel over cities): re-replay each city's stream,
-//      paying the object lookup (DiscreteSampler::index_of on the already-
-//      consumed uniform) only for in-window draws, and scatter each draw
-//      straight into its minute's slot of the window buffer (the counts
-//      from step 1 size every minute); then stable-sort inside each minute.
-//   4. Merge the per-city buffers through a loser tree keyed (timestamp,
-//      city) — merge_by_time's exact tie-break — into SoA chunks.
+//   1. Counting pass, once, parallel over cities: each city's RNG draws
+//      every request's minute, which fixes the size of every cell.
+//   2. Per next(): first the tail of a minute the previous block had no
+//      room for, then the next whole minutes until the block is full.
+//      Their cells are drawn in parallel, one task per (city, minute),
+//      into a scratch buffer at offsets the counts fix.
+//   3. Each minute's cells are merged by (timestamp, city) — merge_by_time's
+//      exact tie-break — straight into the block's columns, in parallel over
+//      minutes. The part of the last minute that does not fit is kept for
+//      the next block.
 //
-// Peak memory is O(window) and generation cost is (1 + windows) cheap
-// replays of the RNG streams plus exactly one object lookup per request.
-// Both passes are traced (category "trace"): one generate_count span and
-// one generate_window span per window, each with its request count.
+// Every request is drawn exactly once, so generation is O(requests), and
+// the generator holds O(chunk + one minute) of draws. The work of a next()
+// runs wherever the caller pulls: in Simulator::run that is the double
+// buffer's producer slot, concurrent with the replay of the previous block.
+// Both steps are traced (category "trace"): one generate_count span, and
+// one generate_window span per fill with its request and minute counts.
 #include <algorithm>
 #include <cstdint>
 #include <memory>
@@ -36,15 +34,10 @@
 #include <vector>
 
 #include "obs/tracer.h"
-#include "trace/minute_order.h"
 #include "trace/stream.h"
 #include "trace/workload.h"
-#include "trace/zipf.h"
-#include "util/hash.h"
 #include "util/loser_tree.h"
 #include "util/parallel.h"
-#include "util/rng.h"
-#include "util/units.h"
 
 namespace starcdn::trace {
 
@@ -52,81 +45,34 @@ class WorkloadStream final : public RequestStream {
  public:
   WorkloadStream(const WorkloadModel& model, StreamParams sp)
       : model_(&model),
-        sp_(sp),
+        chunk_(std::max<std::size_t>(1, sp.chunk_requests)),
         cities_(model.cities().size()),
-        buffers_(cities_),
-        pos_(cities_, 0),
-        tree_(cities_, Less{&buffers_, &pos_}) {
-    sp_.chunk_requests = std::max<std::size_t>(1, sp_.chunk_requests);
-    sp_.window_requests = std::max<std::size_t>(1, sp_.window_requests);
-    const WorkloadParams& p = model.params();
-    minutes_ = static_cast<std::size_t>(
-        std::max(1.0, p.duration_s / util::kMinute.value()));
-
-    city_n_.resize(cities_);
-    minute_samplers_.resize(cities_);
-    counts_.resize(cities_);
+        counts_(cities_),
+        minute_total_(model.minute_count(), 0) {
     for (std::size_t c = 0; c < cities_; ++c) {
-      city_n_[c] = model.city_request_count(c);
-      total_ += city_n_[c];
-      minute_samplers_[c] =
-          std::make_unique<DiscreteSampler>(model.diurnal_minute_weights(c));
+      total_ += model.city_request_count(c);
     }
-
-    // Counting pass: one cheap replay per city, independent slots.
-    {
-      const obs::TraceSpan span(obs::tracer(), "generate_count", "trace",
-                                {obs::arg("requests", total_)});
-      const double clamp_s = p.duration_s - 1e-3;
-      util::parallel_for(cities_, [&](std::size_t c) {
-        auto& counts = counts_[c];
-        counts.assign(minutes_, 0);
-        util::Rng rng = city_rng(c);
-        const DiscreteSampler& minute = *minute_samplers_[c];
-        for (std::size_t i = 0; i < city_n_[c]; ++i) {
-          (void)rng.uniform();  // object draw; lookup deferred to emission
-          const std::size_t m = minute.sample(rng);
-          const double ts = detail::draw_timestamp(m, rng.uniform(), clamp_s);
-          ++counts[detail::minute_key(ts, minutes_)];
-        }
-      });
-    }
-
-    // Partition minutes into emission windows of ~window_requests total.
-    std::uint64_t acc = 0;
-    std::size_t begin = 0;
-    for (std::size_t m = 0; m < minutes_; ++m) {
-      for (std::size_t c = 0; c < cities_; ++c) acc += counts_[c][m];
-      if (acc >= sp_.window_requests) {
-        windows_.push_back({begin, m + 1});
-        begin = m + 1;
-        acc = 0;
+    const obs::TraceSpan span(obs::tracer(), "generate_count", "trace",
+                              {obs::arg("requests", total_)});
+    util::parallel_for(cities_, [&](std::size_t c) {
+      counts_[c] = model.minute_counts(c);
+    });
+    for (const auto& counts : counts_) {
+      for (std::size_t m = 0; m < counts.size(); ++m) {
+        minute_total_[m] += counts[m];
       }
     }
-    if (begin < minutes_) windows_.push_back({begin, minutes_});
   }
 
   [[nodiscard]] bool next(RequestBlock& out) override {
     out.clear();
     if (emitted_ >= total_) return false;
-    const auto want = static_cast<std::size_t>(std::min<std::uint64_t>(
-        sp_.chunk_requests, total_ - emitted_));
-    out.reserve(want);
-    while (out.count() < want) {
-      if (window_remaining_ == 0) {
-        fill_window(windows_[window_idx_++]);
-        continue;
-      }
-      const std::size_t c = tree_.winner();
-      const Draw& d = buffers_[c][pos_[c]];
-      out.timestamp_s.push_back(d.ts);
-      out.object.push_back(d.obj);
-      out.size.push_back(model_->object_size(d.obj));
-      out.location.push_back(static_cast<std::uint16_t>(c));
-      ++pos_[c];
-      --window_remaining_;
-      tree_.replayed();
-    }
+    const auto want = static_cast<std::size_t>(
+        std::min<std::uint64_t>(chunk_, total_ - emitted_));
+    const std::size_t carried = std::min(want, held_.count() - held_pos_);
+    append(out, held_, held_pos_, carried);
+    held_pos_ += carried;
+    if (out.count() < want) fill(out, want);
     emitted_ += want;
     return true;
   }
@@ -136,86 +82,106 @@ class WorkloadStream final : public RequestStream {
   }
 
  private:
-  struct Draw {
-    double ts;
-    ObjectId obj;
-  };
-  struct Window {
-    std::size_t begin_minute;
-    std::size_t end_minute;  // half-open
-  };
-  /// (head timestamp, city) over the window buffers; exhausted cities rank
+  using Draw = WorkloadModel::Draw;
+
+  /// (head timestamp, city) over one minute's cells; exhausted cells rank
   /// last, by index — a strict total order, so the merge is deterministic.
-  struct Less {
-    const std::vector<std::vector<Draw>>* buffers;
-    const std::vector<std::size_t>* pos;
+  struct HeadLess {
+    const Draw* draws;
+    const std::size_t* pos;
+    const std::size_t* end;
     bool operator()(std::size_t a, std::size_t b) const noexcept {
-      const bool ea = (*pos)[a] >= (*buffers)[a].size();
-      const bool eb = (*pos)[b] >= (*buffers)[b].size();
+      const bool ea = pos[a] >= end[a];
+      const bool eb = pos[b] >= end[b];
       if (ea || eb) return !ea && eb;
-      const double ta = (*buffers)[a][(*pos)[a]].ts;
-      const double tb = (*buffers)[b][(*pos)[b]].ts;
+      const double ta = draws[pos[a]].ts;
+      const double tb = draws[pos[b]].ts;
       if (ta != tb) return ta < tb;
       return a < b;
     }
   };
 
-  [[nodiscard]] util::Rng city_rng(std::size_t city) const {
-    // Exactly generate_city's seeding with the default salt of generate().
-    return util::Rng(util::hash_combine(model_->params().seed,
-                                        util::splitmix64(city * 7919 + 1)));
+  /// Appends src[from, from + n) to out, column by column.
+  static void append(RequestBlock& out, const RequestBlock& src,
+                     std::size_t from, std::size_t n) {
+    const auto copy = [&](auto& dst, const auto& col) {
+      dst.insert(dst.end(), col.begin() + static_cast<std::ptrdiff_t>(from),
+                 col.begin() + static_cast<std::ptrdiff_t>(from + n));
+    };
+    copy(out.timestamp_s, src.timestamp_s);
+    copy(out.object, src.object);
+    copy(out.size, src.size);
+    copy(out.location, src.location);
   }
 
-  void fill_window(const Window& w) {
+  /// Draws the whole minutes that fill `out` up to `want` requests and
+  /// keeps what overflows for the next block.
+  void fill(RequestBlock& out, std::size_t want) {
     obs::TraceSpan span(obs::tracer(), "generate_window", "trace");
-    const double clamp_s = model_->params().duration_s - 1e-3;
-    util::parallel_for(cities_, [&](std::size_t c) {
-      auto& buf = buffers_[c];
-      buf.clear();
-      detail::MinuteScatter scatter(std::span(counts_[c]).subspan(
-          w.begin_minute, w.end_minute - w.begin_minute));
-      if (scatter.size() == 0) return;  // counting pass: nothing lands here
-      buf.resize(scatter.size());
-      const WorkloadModel::CityTable& t = model_->city_tables_[c];
-      util::Rng rng = city_rng(c);
-      const DiscreteSampler& minute = *minute_samplers_[c];
-      for (std::size_t i = 0; i < city_n_[c]; ++i) {
-        const double u_obj = rng.uniform();
-        const std::size_t m = minute.sample(rng);
-        const double ts = detail::draw_timestamp(m, rng.uniform(), clamp_s);
-        const std::size_t key = detail::minute_key(ts, minutes_);
-        if (key < w.begin_minute || key >= w.end_minute) continue;
-        buf[scatter.place(key - w.begin_minute)] = {
-            ts, t.objects[t.sampler->index_of(u_obj)]};
-      }
-      // Equal timestamps keep draw order — generate_city's per-minute
-      // placement restricted to this window's minutes.
-      scatter.sort_buckets(buf.data(), [](const Draw& d) { return d.ts; });
-    });
-    window_remaining_ = 0;
-    for (std::size_t c = 0; c < cities_; ++c) {
-      pos_[c] = 0;
-      window_remaining_ += buffers_[c].size();
+    const std::size_t base = out.count();
+    const std::size_t first = next_minute_;
+    std::size_t drawn = 0;
+    while (base + drawn < want && next_minute_ < minute_total_.size()) {
+      drawn += minute_total_[next_minute_++];
     }
-    tree_.rebuild();
-    span.set_args({obs::arg("requests", window_remaining_)});
+    const std::size_t minutes = next_minute_ - first;
+
+    // Cell k = (minute first + k / cities, city k % cities).
+    const std::size_t cells = minutes * cities_;
+    cell_start_.resize(cells + 1);
+    std::size_t acc = 0;
+    for (std::size_t k = 0; k < cells; ++k) {
+      cell_start_[k] = acc;
+      acc += counts_[k % cities_][first + k / cities_];
+    }
+    cell_start_[cells] = acc;
+    draws_.resize(acc);
+    util::parallel_for(cells, [&](std::size_t k) {
+      const std::size_t n = cell_start_[k + 1] - cell_start_[k];
+      if (n == 0) return;
+      model_->draw_cell(k % cities_, first + k / cities_, 0,
+                        std::span(draws_).subspan(cell_start_[k], n));
+    });
+
+    out.resize(base + acc);
+    util::parallel_for(minutes, [&](std::size_t i) {
+      const std::size_t* starts = cell_start_.data() + i * cities_;
+      std::vector<std::size_t> pos(starts, starts + cities_);
+      util::LoserTree<HeadLess> tree(
+          cities_, HeadLess{draws_.data(), pos.data(), starts + 1});
+      for (std::size_t j = base + starts[0]; j < base + starts[cities_]; ++j) {
+        const std::size_t c = tree.winner();
+        const Draw& d = draws_[pos[c]++];
+        out.timestamp_s[j] = d.ts;
+        out.object[j] = d.object;
+        out.size[j] = d.size;
+        out.location[j] = static_cast<std::uint16_t>(c);
+        tree.replayed();
+      }
+    });
+
+    held_.clear();
+    held_pos_ = 0;
+    if (out.count() > want) {
+      append(held_, out, want, out.count() - want);
+      out.resize(want);
+    }
+    span.set_args({obs::arg("requests", static_cast<std::uint64_t>(acc)),
+                   obs::arg("minutes", static_cast<std::uint64_t>(minutes))});
   }
 
   const WorkloadModel* model_;
-  StreamParams sp_;
+  std::size_t chunk_;
   std::size_t cities_;
-  std::size_t minutes_ = 0;
-  std::vector<std::size_t> city_n_;
-  std::vector<std::unique_ptr<DiscreteSampler>> minute_samplers_;
-  std::vector<std::vector<std::uint32_t>> counts_;  // [city][minute_key]
-  std::vector<Window> windows_;
+  std::vector<std::vector<std::uint32_t>> counts_;  // [city][minute]
+  std::vector<std::uint64_t> minute_total_;         // summed over cities
   std::uint64_t total_ = 0;
   std::uint64_t emitted_ = 0;
-  std::uint64_t window_remaining_ = 0;
-  std::size_t window_idx_ = 0;  // next window to fill
-  std::vector<std::vector<Draw>> buffers_;  // current window, per city
-  std::vector<std::size_t> pos_;
-  util::LoserTree<Less> tree_;
+  std::size_t next_minute_ = 0;  // first minute not yet drawn
+  RequestBlock held_;            // drawn, not yet emitted: one minute's tail
+  std::size_t held_pos_ = 0;
+  std::vector<std::size_t> cell_start_;  // cell k is [start[k], start[k+1])
+  std::vector<Draw> draws_;              // the current fill's cells
 };
 
 std::unique_ptr<RequestStream> WorkloadModel::generate_stream(

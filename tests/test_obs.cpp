@@ -485,10 +485,9 @@ TEST(TraceSchema, GenerationSpansCoverEveryRequest) {
   obs::Tracer tracer;
   {
     const ScopedTracer installed(tracer);
-    trace::StreamParams sp;
-    sp.chunk_requests = 4'096;
-    sp.window_requests = static_cast<std::size_t>(total / 5);
-    const auto stream = workload.generate_stream(sp);
+    // About 370 requests a minute: each 4 Ki block but the last needs a
+    // fill of its own, so there are 5 or more.
+    const auto stream = workload.generate_stream({4'096});
     trace::RequestBlock block;
     std::uint64_t pulled = 0;
     while (stream->next(block)) pulled += block.count();

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "trace/workload.h"
 #include "util/geo.h"
 
@@ -118,6 +125,49 @@ TEST(Replay, RejectsLocationOutsideSchedule) {
   const std::vector<trace::Request> bad{r};
   EXPECT_THROW((void)replay(shell, schedule, bad, ReplayConfig{}),
                std::out_of_range);
+}
+
+/// replay_cluster over `requests` in `chunk`-request blocks; the message of
+/// the std::invalid_argument it throws, or "" when it does not throw.
+std::string time_order_error(const std::vector<trace::Request>& requests,
+                             std::size_t chunk) {
+  const orbit::Constellation shell{small_shell()};
+  const sched::LinkSchedule schedule(shell, util::paper_cities(),
+                                     util::Seconds{600.0});
+  trace::VectorStream stream(requests, chunk);
+  try {
+    (void)replay_cluster(shell, schedule, stream, ReplayConfig{});
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Replay, RejectsOutOfOrderNaNAndNegativeTimestamps) {
+  const auto all = small_requests();
+  const std::vector<trace::Request> ok(all.begin(), all.begin() + 6);
+  ASSERT_EQ(time_order_error(ok, 64), "");
+
+  auto reversed = ok;
+  std::swap(reversed[3].timestamp_s, reversed[4].timestamp_s);
+  ASSERT_LT(reversed[4].timestamp_s, reversed[3].timestamp_s);
+  EXPECT_EQ(time_order_error(reversed, 64).rfind("request 4:", 0), 0u);
+
+  auto nan = ok;
+  nan[2].timestamp_s = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(time_order_error(nan, 64).rfind("request 2:", 0), 0u);
+
+  auto negative = ok;
+  negative[0].timestamp_s = -1.0;
+  EXPECT_EQ(time_order_error(negative, 64).rfind("request 0:", 0), 0u);
+}
+
+TEST(Replay, RejectsStepBackAcrossChunkBoundary) {
+  const auto all = small_requests();
+  std::vector<trace::Request> split(all.begin(), all.begin() + 6);
+  split[3].timestamp_s = std::nextafter(split[2].timestamp_s, 0.0);
+  EXPECT_EQ(time_order_error(split, 3).rfind("request 3:", 0), 0u);
+  EXPECT_EQ(time_order_error(split, 64).rfind("request 3:", 0), 0u);
 }
 
 }  // namespace

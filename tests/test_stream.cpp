@@ -1,18 +1,23 @@
 // The streaming trace pipeline's contract (DESIGN.md §12): chunked streams
 // are *bitwise* equivalent to the materialized path — same requests, same
-// order, same simulator metrics — for any chunk size, window size and
-// thread count; and the loser-tree merge reproduces merge_by_time's stable
-// tie-break exactly.
+// order, same simulator metrics — for any chunk size and thread count; the
+// loser-tree merge reproduces merge_by_time's stable tie-break exactly; and
+// the minute-major generator keeps its counting pass and its cities'
+// popularity tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <functional>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "core/simulator.h"
 #include "sched/scheduler.h"
+#include "trace/minute_order.h"
 #include "trace/stream.h"
 #include "trace/trace_io.h"
 #include "trace/workload.h"
@@ -219,29 +224,48 @@ trace::WorkloadParams small_params() {
   return p;
 }
 
-TEST(GenerateStream, BitwiseMatchesMaterializedAcrossChunkAndWindow) {
+TEST(GenerateStream, BitwiseMatchesMaterializedAcrossChunksAndThreads) {
   const trace::WorkloadModel model(util::paper_cities(), small_params());
   const auto merged = trace::merge_by_time(model.generate());
-  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
-                                  trace::kDefaultChunkRequests}) {
-    for (const std::size_t window :
-         {std::size_t{64}, std::size_t{4096}, std::size_t{1} << 22}) {
-      SCOPED_TRACE("chunk=" + std::to_string(chunk) +
-                   " window=" + std::to_string(window));
-      const auto stream = model.generate_stream({chunk, window});
+  // The hour holds about 370 requests a minute: chunks 1 and 7 leave most
+  // of a minute for later blocks, 1,000 spans a few minutes and 64 Ki the
+  // whole trace.
+  for (const int threads : {1, 4, 8}) {
+    for (const std::size_t chunk :
+         {std::size_t{1}, std::size_t{7}, std::size_t{1000},
+          trace::kDefaultChunkRequests}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " chunk=" + std::to_string(chunk));
+      ThreadOverrideGuard guard(threads);
+      const auto stream = model.generate_stream({chunk});
       ASSERT_EQ(stream->size_hint(), merged.size());
-      expect_same_requests(trace::collect(*stream), merged);
+      std::vector<trace::Request> streamed;
+      trace::RequestBlock block;
+      while (stream->next(block)) {
+        // Every block but the last holds exactly one chunk.
+        ASSERT_EQ(block.count(),
+                  std::min(chunk, merged.size() - streamed.size()));
+        for (std::size_t i = 0; i < block.count(); ++i) {
+          streamed.push_back(block.at(i));
+        }
+      }
+      expect_same_requests(streamed, merged);
     }
   }
 }
 
 TEST(GenerateStream, ThreadCountInvariant) {
-  const trace::WorkloadModel model(util::paper_cities(), small_params());
+  // A whole day at low density: one 64 Ki fill spans hundreds of minutes,
+  // thousands of (city, minute) cells.
+  auto p = small_params();
+  p.duration_s = util::kDay.value();
+  p.requests_per_weight = 20'000;
+  const trace::WorkloadModel model(util::paper_cities(), p);
   const auto merged = trace::merge_by_time(model.generate());
   for (const int threads : {1, 4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ThreadOverrideGuard guard(threads);
-    const auto stream = model.generate_stream({1024, 2048});
+    const auto stream = model.generate_stream();
     expect_same_requests(trace::collect(*stream), merged);
   }
 }
@@ -262,7 +286,7 @@ TEST(GenerateStream, EmptyCityAndSingleRequestEdgeCases) {
     EXPECT_EQ(model.total_request_count(), 1u);
     const auto merged = trace::merge_by_time(model.generate());
     ASSERT_EQ(merged.size(), 1u);
-    const auto stream = model.generate_stream({1, 1});
+    const auto stream = model.generate_stream({1});
     expect_same_requests(trace::collect(*stream), merged);
   }
 
@@ -272,7 +296,7 @@ TEST(GenerateStream, EmptyCityAndSingleRequestEdgeCases) {
     const auto merged = trace::merge_by_time(model.generate());
     ASSERT_EQ(merged.size(), 300u);
     for (const auto& r : merged) EXPECT_EQ(r.location, 1);
-    const auto stream = model.generate_stream({17, 64});
+    const auto stream = model.generate_stream({17});
     expect_same_requests(trace::collect(*stream), merged);
   }
 }
@@ -307,19 +331,133 @@ std::uint64_t trace_digest(const std::vector<trace::Request>& requests) {
 TEST(GenerateStream, TraceDigestPinned) {
   // The identity tests above compare the two generation paths with each
   // other, so a change to the sampler or the time ordering they share
-  // would pass them. This pins the generated trace itself.
+  // would pass them. This pins the generated trace itself, as drawn
+  // minute-major (trace/minute_order.h).
   const trace::WorkloadModel model(util::paper_cities(), small_params());
   const std::uint64_t total = model.total_request_count();
-  // A window closes once it holds total / 8 requests, and one minute adds
-  // at most a few percent of the hour, so this makes 7-8 windows.
-  const auto stream = model.generate_stream(
-      {trace::kDefaultChunkRequests, static_cast<std::size_t>(total / 8)});
+  const auto stream = model.generate_stream();
   const auto streamed = trace::collect(*stream);
   ASSERT_EQ(streamed.size(), total);
-  constexpr std::uint64_t kPinned = 0x615bdb87d6ac3c06ULL;
+  constexpr std::uint64_t kPinned = 0x041018b84d23c7ecULL;
   EXPECT_EQ(trace_digest(streamed), kPinned)
       << std::hex << trace_digest(streamed);
   EXPECT_EQ(trace_digest(trace::merge_by_time(model.generate())), kPinned);
+}
+
+TEST(MinuteOrder, LastFractionStaysInItsMinute) {
+  // (m + (1 - 2^-53))·60 rounds to (m+1)·60 for every m >= 1; the draw must
+  // still land in minute m, so that a draw's minute is its cell.
+  constexpr double kLastFraction = 1.0 - 0x1.0p-53;
+  for (const std::size_t m :
+       {std::size_t{1}, std::size_t{2}, std::size_t{59}, std::size_t{1439},
+        std::size_t{100'000}}) {
+    SCOPED_TRACE("minute " + std::to_string(m));
+    const double start = static_cast<double>(m) * 60.0;
+    const double ts = trace::detail::draw_timestamp(m, kLastFraction, 1e12);
+    EXPECT_LT(ts, start + 60.0);
+    EXPECT_GE(ts, start);
+    EXPECT_EQ(ts, std::nextafter(start + 60.0, 0.0));
+    EXPECT_EQ(trace::detail::draw_timestamp(m, 0.0, 1e12), start);
+  }
+  // The end-of-day clamp keeps the last minute's draws inside it.
+  const double clamp = 3'600.0 - 1e-3;
+  EXPECT_EQ(trace::detail::draw_timestamp(59, kLastFraction, clamp), clamp);
+  EXPECT_GE(clamp, 59 * 60.0);
+}
+
+/// The minute m with m·60 <= ts < (m+1)·60, exactly: ts / 60 can round up
+/// to m + 1 for the last doubles of minute m.
+std::size_t minute_of(double ts) {
+  auto m = static_cast<std::size_t>(ts / util::kMinute.value());
+  if (static_cast<double>(m) * util::kMinute.value() > ts) --m;
+  return m;
+}
+
+TEST(GenerateStream, MinuteCountsMatchCountingPass) {
+  const trace::WorkloadModel model(util::paper_cities(), small_params());
+  const std::size_t cities = util::paper_cities().size();
+  std::vector<std::vector<std::uint32_t>> counted(cities);
+  for (std::size_t c = 0; c < cities; ++c) {
+    counted[c] = model.minute_counts(c);
+    ASSERT_EQ(counted[c].size(), 60u);
+  }
+  std::vector<std::vector<std::uint32_t>> streamed(
+      cities, std::vector<std::uint32_t>(60, 0));
+  const auto stream = model.generate_stream({1000});
+  trace::RequestBlock block;
+  while (stream->next(block)) {
+    for (std::size_t i = 0; i < block.count(); ++i) {
+      const std::size_t m = minute_of(block.timestamp_s[i]);
+      ASSERT_LT(m, 60u);
+      ++streamed[block.location[i]][m];
+    }
+  }
+  for (std::size_t c = 0; c < cities; ++c) {
+    SCOPED_TRACE("city " + std::to_string(c));
+    EXPECT_EQ(streamed[c], counted[c]);
+    std::uint64_t sum = 0;
+    for (const auto n : counted[c]) sum += n;
+    EXPECT_EQ(sum, model.city_request_count(c));
+  }
+}
+
+/// Upper 1e-6 tail of the chi-squared distribution with `df` degrees of
+/// freedom, by the Wilson–Hilferty cube-root normal approximation (z of the
+/// standard normal's 1e-6 upper tail: 4.753).
+double chi2_bound(double df) {
+  const double v = 2.0 / (9.0 * df);
+  const double c = 1.0 - v + 4.753 * std::sqrt(v);
+  return df * c * c * c;
+}
+
+TEST(GenerateStream, ObjectFrequenciesMatchCityZipfTables) {
+  // Pearson chi-squared of each city's object counts against its
+  // popularity table. Objects are binned in probability order and merged
+  // until every bin expects at least 20 requests; the statistic must stay
+  // under the 1e-6 upper tail of chi-squared with (bins - 1) degrees of
+  // freedom, so a correct generator fails one city's check with
+  // probability about 1e-5 per seed, and this seed is fixed.
+  auto p = small_params();
+  p.object_count = 2'000;
+  p.requests_per_weight = 20'000;
+  const trace::WorkloadModel model(util::paper_cities(), p);
+  const trace::MultiTrace traces = model.generate();
+  for (std::size_t c = 0; c < traces.size(); ++c) {
+    SCOPED_TRACE("city " + std::to_string(c));
+    std::vector<std::uint64_t> seen(p.object_count, 0);
+    for (const auto& r : traces[c].requests) ++seen[r.object];
+    const auto n = static_cast<double>(traces[c].requests.size());
+    std::vector<std::pair<double, std::uint64_t>> cells;  // (prob, count)
+    for (std::size_t o = 0; o < p.object_count; ++o) {
+      const double q = model.request_probability(o, c);
+      if (q == 0.0) {
+        EXPECT_EQ(seen[o], 0u) << "object " << o << " is out of reach";
+        continue;
+      }
+      cells.emplace_back(q, seen[o]);
+    }
+    std::sort(cells.begin(), cells.end(), std::greater<>());
+    std::vector<std::pair<double, double>> bins;  // (expected, observed)
+    bool open = false;
+    for (const auto& [q, count] : cells) {
+      if (!open) bins.emplace_back(0.0, 0.0);
+      bins.back().first += q * n;
+      bins.back().second += static_cast<double>(count);
+      open = bins.back().first < 20.0;
+    }
+    if (open && bins.size() > 1) {  // fold a short last bin into the one before
+      bins[bins.size() - 2].first += bins.back().first;
+      bins[bins.size() - 2].second += bins.back().second;
+      bins.pop_back();
+    }
+    double chi2 = 0.0;
+    for (const auto& [expected, observed] : bins) {
+      chi2 += (observed - expected) * (observed - expected) / expected;
+    }
+    ASSERT_GE(bins.size(), 30u);
+    EXPECT_LT(chi2, chi2_bound(static_cast<double>(bins.size() - 1)))
+        << bins.size() << " bins";
+  }
 }
 
 // --- Simulator::run(RequestStream&) ------------------------------------------
@@ -413,7 +551,7 @@ TEST(SimulatorStream, GeneratedStreamMatchesMaterializedEndToEnd) {
 
   core::Simulator streamed(shell, schedule, cfg);
   streamed.add_variant(core::Variant::kStarCdn);
-  const auto stream = workload.generate_stream({1024, 8192});
+  const auto stream = workload.generate_stream({1024});
   streamed.run(*stream);
 
   expect_identical_metrics(
