@@ -3,12 +3,12 @@
 // A city's trace is drawn in two steps. The counting pass draws only each
 // request's diurnal minute, from the city's RNG. Each (city, minute) cell
 // then draws its requests' objects and intra-minute offsets from an RNG of
-// its own, seeded by (seed, city, minute), and stable-sorts them by
-// timestamp. draw_timestamp keeps every draw strictly inside its minute, so
-// a draw's minute is its cell: a city's trace is its cells concatenated in
-// minute order, and any range of minutes can be drawn without the others.
-// generate_city and the streaming generator both draw through this order,
-// which is what keeps them bitwise identical.
+// its own, seeded by (seed, city, minute). draw_timestamp keeps every draw
+// strictly inside its minute, so a draw's minute is its cell: a city's
+// trace is its cells, each stable-sorted by timestamp, in minute order, and
+// any range of minutes can be drawn without the others. generate_city and
+// the streaming generator both draw through this order, which is what keeps
+// them bitwise identical; sort_by_time is the stable sort both use.
 #pragma once
 
 #include <algorithm>
@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "util/hash.h"
 #include "util/units.h"
@@ -45,12 +46,37 @@ namespace starcdn::trace::detail {
   return util::hash_combine(city_seed, util::splitmix64(minute));
 }
 
-/// One cell's draws in time order. Stable, so equal timestamps (the
-/// end-of-day clamp can collide) keep draw order.
+/// Exactly std::stable_sort(items, by .ts) — equal timestamps keep their
+/// order — for items whose timestamps lie in [start_s, start_s + width_s),
+/// in expected linear time when they are spread evenly over it, as a
+/// minute's draws are. The bucket key ⌊(ts − start_s) · n / width_s⌋
+/// (clamped into [0, n)) leaves about one item per bucket, and it is
+/// monotone in ts: a lower key means a strictly earlier timestamp, and
+/// equal timestamps share a key. So a stable scatter by key leaves
+/// inversions only inside buckets, and one stable insertion sort removes
+/// them. Items outside the range are still sorted correctly, just slower.
 template <typename T>
-void sort_cell(std::span<T> cell) {
-  std::stable_sort(cell.begin(), cell.end(),
-                   [](const T& a, const T& b) { return a.ts < b.ts; });
+void sort_by_time(std::span<T> items, double start_s, double width_s) {
+  const std::size_t n = items.size();
+  if (n < 2) return;
+  const double per_second = static_cast<double>(n) / width_s;
+  const auto key = [&](const T& x) -> std::size_t {
+    const double k = (x.ts - start_s) * per_second;
+    if (!(k > 0.0)) return 0;
+    return k < static_cast<double>(n) ? static_cast<std::size_t>(k) : n - 1;
+  };
+  std::vector<std::uint32_t> next(n + 1, 0);
+  for (const T& x : items) ++next[key(x) + 1];
+  for (std::size_t b = 1; b <= n; ++b) next[b] += next[b - 1];
+  std::vector<T> placed(n);
+  for (const T& x : items) placed[next[key(x)]++] = x;
+  for (std::size_t i = 1; i < n; ++i) {
+    const T x = placed[i];
+    std::size_t j = i;
+    for (; j > 0 && x.ts < placed[j - 1].ts; --j) placed[j] = placed[j - 1];
+    placed[j] = x;
+  }
+  std::copy(placed.begin(), placed.end(), items.begin());
 }
 
 }  // namespace starcdn::trace::detail

@@ -169,26 +169,26 @@ void WorkloadModel::build_city_tables() {
   // Cities are independent: one task each, so the result does not depend
   // on the thread count.
   util::parallel_for(cities_->size(), [&](std::size_t c) {
-    std::vector<std::pair<double, ObjectId>> entries;
+    std::vector<std::pair<double, ObjectId>> by_weight;
     for (std::size_t i = 0; i < sizes_.size(); ++i) {
       const auto id = static_cast<ObjectId>(i);
       const double w = weight(id, c);
-      if (in_reach(w, id)) entries.emplace_back(w, id);
+      if (in_reach(w, id)) by_weight.emplace_back(w, id);
     }
     // Most popular first (ties by id): the Zipf head, which most draws
     // hit, then shares a few cache lines of the CDF and of the table.
-    std::sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
-      return a.first != b.first ? a.first > b.first : a.second < b.second;
-    });
+    std::sort(by_weight.begin(), by_weight.end(),
+              [](const auto& a, const auto& b) {
+                return a.first != b.first ? a.first > b.first
+                                          : a.second < b.second;
+              });
     CityTable& t = city_tables_[c];
     std::vector<double> weights;
-    weights.reserve(entries.size());
-    t.objects.reserve(entries.size());
-    t.sizes.reserve(entries.size());
-    for (const auto& [w, id] : entries) {
+    weights.reserve(by_weight.size());
+    t.entries.reserve(by_weight.size());
+    for (const auto& [w, id] : by_weight) {
       weights.push_back(w);
-      t.objects.push_back(id);
-      t.sizes.push_back(sizes_[static_cast<std::size_t>(id)]);
+      t.entries.push_back({id, sizes_[static_cast<std::size_t>(id)]});
     }
     t.sampler = std::make_unique<DiscreteSampler>(weights);
     t.minutes = std::make_unique<DiscreteSampler>(diurnal_minute_weights(c));
@@ -238,11 +238,11 @@ void WorkloadModel::draw_cell(std::size_t city, std::size_t minute,
   util::Rng rng(detail::cell_seed(city_seed(city, salt), minute));
   for (Draw& d : out) {
     const std::size_t k = t.sampler->sample(rng);
-    d.object = t.objects[k];
-    d.size = t.sizes[k];
+    d.object = t.entries[k].object;
+    d.size = t.entries[k].size;
     d.ts = detail::draw_timestamp(minute, rng.uniform(), clamp_s);
+    d.city = static_cast<std::uint16_t>(city);
   }
-  detail::sort_cell(out);
 }
 
 LocationTrace WorkloadModel::generate_city(std::size_t city,
@@ -253,7 +253,10 @@ LocationTrace WorkloadModel::generate_city(std::size_t city,
   std::vector<Draw> draws(n_requests);
   std::size_t at = 0;
   for (std::size_t m = 0; m < counts.size(); ++m) {
-    draw_cell(city, m, salt, std::span(draws).subspan(at, counts[m]));
+    const auto cell = std::span(draws).subspan(at, counts[m]);
+    draw_cell(city, m, salt, cell);
+    detail::sort_by_time(cell, static_cast<double>(m) * util::kMinute.value(),
+                         util::kMinute.value());
     at += counts[m];
   }
 
@@ -262,8 +265,7 @@ LocationTrace WorkloadModel::generate_city(std::size_t city,
   out.location_name = (*cities_)[city].name;
   out.requests.reserve(n_requests);
   for (const Draw& d : draws) {
-    out.requests.push_back(
-        {d.ts, d.object, d.size, static_cast<std::uint16_t>(city)});
+    out.requests.push_back({d.ts, d.object, d.size, d.city});
   }
   return out;
 }

@@ -152,11 +152,12 @@ class WorkloadModel {
 
  private:
   friend class WorkloadStream;
-  /// One request of a cell, before its city is attached.
+  /// One drawn request.
   struct Draw {
     double ts;
     ObjectId object;
     Bytes size;
+    std::uint16_t city;
   };
 
   void build_universe();
@@ -172,7 +173,7 @@ class WorkloadModel {
   /// The counting pass of an `n`-request trace of `city`.
   [[nodiscard]] std::vector<std::uint32_t> counting_pass(
       std::size_t city, std::size_t n, std::uint64_t salt) const;
-  /// Draw cell (city, minute) — out.size() requests — in time order.
+  /// Draw cell (city, minute) — out.size() requests — in draw order.
   void draw_cell(std::size_t city, std::size_t minute, std::uint64_t salt,
                  std::span<Draw> out) const;
 
@@ -186,12 +187,15 @@ class WorkloadModel {
   std::vector<std::uint16_t> home_city_;
   std::vector<bool> global_;
 
-  // Per-city popularity tables: object ids with non-negligible weight and a
-  // matching sampler.
+  // Per-city popularity tables: the objects with non-negligible weight, and
+  // a matching sampler.
   struct CityTable {
-    std::vector<ObjectId> objects;  // by descending weight
-    std::vector<Bytes> sizes;       // sizes[k] = object_size(objects[k])
-    std::unique_ptr<DiscreteSampler> sampler;  // over the objects' weights
+    struct Entry {
+      ObjectId object;
+      Bytes size;  // object_size(object), next to it: one line per draw
+    };
+    std::vector<Entry> entries;  // by descending weight
+    std::unique_ptr<DiscreteSampler> sampler;  // over the entries' weights
     std::unique_ptr<DiscreteSampler> minutes;  // diurnal minute profile
   };
   std::vector<CityTable> city_tables_;

@@ -15,11 +15,14 @@
 //   2. Per next(): first the tail of a minute the previous block had no
 //      room for, then the next whole minutes until the block is full.
 //      Their cells are drawn in parallel, one task per (city, minute),
-//      into a scratch buffer at offsets the counts fix.
-//   3. Each minute's cells are merged by (timestamp, city) — merge_by_time's
-//      exact tie-break — straight into the block's columns, in parallel over
-//      minutes. The part of the last minute that does not fit is kept for
-//      the next block.
+//      into a scratch buffer at offsets the counts fix: minute by minute,
+//      city by city, each cell in draw order.
+//   3. Each minute is stable-sorted by timestamp (sort_minute, expected
+//      linear time) and written straight into the block's columns, in
+//      parallel over minutes. Sorting the cities' cells together in city
+//      order is merging the sorted cells by (timestamp, city) —
+//      merge_by_time's exact tie-break. The part of the last minute that
+//      does not fit is kept for the next block.
 //
 // Every request is drawn exactly once, so generation is O(requests), and
 // the generator holds O(chunk + one minute) of draws. The work of a next()
@@ -29,15 +32,17 @@
 // one generate_window span per fill with its request and minute counts.
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "obs/tracer.h"
+#include "trace/minute_order.h"
 #include "trace/stream.h"
 #include "trace/workload.h"
-#include "util/loser_tree.h"
 #include "util/parallel.h"
+#include "util/units.h"
 
 namespace starcdn::trace {
 
@@ -84,22 +89,68 @@ class WorkloadStream final : public RequestStream {
  private:
   using Draw = WorkloadModel::Draw;
 
-  /// (head timestamp, city) over one minute's cells; exhausted cells rank
-  /// last, by index — a strict total order, so the merge is deterministic.
-  struct HeadLess {
-    const Draw* draws;
-    const std::size_t* pos;
-    const std::size_t* end;
-    bool operator()(std::size_t a, std::size_t b) const noexcept {
-      const bool ea = pos[a] >= end[a];
-      const bool eb = pos[b] >= end[b];
-      if (ea || eb) return !ea && eb;
-      const double ta = draws[pos[a]].ts;
-      const double tb = draws[pos[b]].ts;
-      if (ta != tb) return ta < tb;
-      return a < b;
-    }
+  /// Slice `index` of `of` equal time slices of minute first + `minute` of
+  /// the current fill.
+  struct Slice {
+    std::size_t minute;
+    std::size_t index;
+    std::size_t of;
   };
+  static constexpr std::size_t kSliceRequests = 4096;
+
+  /// Slices of minute first + `i` of the current fill.
+  [[nodiscard]] std::size_t slices_in(std::size_t i) const {
+    const std::size_t n =
+        cell_start_[(i + 1) * cities_] - cell_start_[i * cities_];
+    return std::max<std::size_t>(1, (n + kSliceRequests - 1) / kSliceRequests);
+  }
+
+  /// Writes a slice's draws, in (timestamp, city) order, to their place in
+  /// `out`. The cells of a minute with several slices are sorted, so binary
+  /// searches find each cell's part of the slice and how many of its draws
+  /// come before it (a one-slice minute takes its cells whole). Gathered in
+  /// city order, each part in draw order or already in time order, the
+  /// slice's stable sort by timestamp is their (timestamp, city) merge —
+  /// merge_by_time's exact tie-break — and every draw of a later slice is
+  /// later in time.
+  void merge_slice(const Slice& sl, std::size_t first, RequestBlock& out,
+                   std::size_t base) const {
+    const double width = util::kMinute.value() / static_cast<double>(sl.of);
+    const double start =
+        static_cast<double>(first + sl.minute) * util::kMinute.value() +
+        static_cast<double>(sl.index) * width;
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const double lo = sl.index == 0 ? -kInf : start;
+    const double hi = sl.index + 1 == sl.of ? kInf : start + width;
+    const auto earlier = [](const Draw& d, double t) { return d.ts < t; };
+    std::vector<std::span<const Draw>> parts(cities_);
+    std::size_t n = 0;
+    // Output position: the minute's start plus its draws before the slice.
+    std::size_t at = base + cell_start_[sl.minute * cities_];
+    for (std::size_t c = 0; c < cities_; ++c) {
+      const std::size_t k = sl.minute * cities_ + c;
+      const auto cell = std::span<const Draw>(draws_).subspan(
+          cell_start_[k], cell_start_[k + 1] - cell_start_[k]);
+      const auto from = std::lower_bound(cell.begin(), cell.end(), lo, earlier);
+      const auto to = std::lower_bound(from, cell.end(), hi, earlier);
+      at += static_cast<std::size_t>(from - cell.begin());
+      parts[c] = {from, to};
+      n += parts[c].size();
+    }
+    std::vector<Draw> merged;
+    merged.reserve(n);
+    for (const auto part : parts) {
+      merged.insert(merged.end(), part.begin(), part.end());
+    }
+    detail::sort_by_time(std::span(merged), start, width);
+    for (const Draw& d : merged) {
+      out.timestamp_s[at] = d.ts;
+      out.object[at] = d.object;
+      out.size[at] = d.size;
+      out.location[at] = d.city;
+      ++at;
+    }
+  }
 
   /// Appends src[from, from + n) to out, column by column.
   static void append(RequestBlock& out, const RequestBlock& src,
@@ -139,25 +190,27 @@ class WorkloadStream final : public RequestStream {
     util::parallel_for(cells, [&](std::size_t k) {
       const std::size_t n = cell_start_[k + 1] - cell_start_[k];
       if (n == 0) return;
-      model_->draw_cell(k % cities_, first + k / cities_, 0,
-                        std::span(draws_).subspan(cell_start_[k], n));
+      const std::size_t minute = first + k / cities_;
+      const auto cell = std::span(draws_).subspan(cell_start_[k], n);
+      model_->draw_cell(k % cities_, minute, 0, cell);
+      if (slices_in(k / cities_) > 1) {
+        detail::sort_by_time(
+            cell, static_cast<double>(minute) * util::kMinute.value(),
+            util::kMinute.value());
+      }
     });
 
+    // Merge minute by minute, each minute cut into time slices of about
+    // kSliceRequests draws so that a dense minute still spreads over the
+    // pool. Every slice is independent of the others.
+    slices_.clear();
+    for (std::size_t i = 0; i < minutes; ++i) {
+      const std::size_t of = slices_in(i);
+      for (std::size_t s = 0; s < of; ++s) slices_.push_back({i, s, of});
+    }
     out.resize(base + acc);
-    util::parallel_for(minutes, [&](std::size_t i) {
-      const std::size_t* starts = cell_start_.data() + i * cities_;
-      std::vector<std::size_t> pos(starts, starts + cities_);
-      util::LoserTree<HeadLess> tree(
-          cities_, HeadLess{draws_.data(), pos.data(), starts + 1});
-      for (std::size_t j = base + starts[0]; j < base + starts[cities_]; ++j) {
-        const std::size_t c = tree.winner();
-        const Draw& d = draws_[pos[c]++];
-        out.timestamp_s[j] = d.ts;
-        out.object[j] = d.object;
-        out.size[j] = d.size;
-        out.location[j] = static_cast<std::uint16_t>(c);
-        tree.replayed();
-      }
+    util::parallel_for(slices_.size(), [&](std::size_t t) {
+      merge_slice(slices_[t], first, out, base);
     });
 
     held_.clear();
@@ -182,6 +235,7 @@ class WorkloadStream final : public RequestStream {
   std::size_t held_pos_ = 0;
   std::vector<std::size_t> cell_start_;  // cell k is [start[k], start[k+1])
   std::vector<Draw> draws_;              // the current fill's cells
+  std::vector<Slice> slices_;            // the current fill's merge tasks
 };
 
 std::unique_ptr<RequestStream> WorkloadModel::generate_stream(

@@ -52,9 +52,8 @@ class DiscreteSampler {
   [[nodiscard]] std::size_t sample(util::Rng& rng) const;
 
   /// Index for a unit draw u in [0, 1): sample(rng) == index_of(
-  /// rng.uniform()). Exposed so a replaying consumer can consume the RNG
-  /// draw without paying the lookup — and run it later only for the draws
-  /// it actually needs (WorkloadModel::generate_stream's counting pass).
+  /// rng.uniform()). Exposed so the lookup can be tested against
+  /// std::upper_bound and timed apart from the RNG.
   [[nodiscard]] std::size_t index_of(double unit) const noexcept;
   [[nodiscard]] std::size_t size() const noexcept { return cdf_.size(); }
   [[nodiscard]] double total_weight() const noexcept { return total_; }

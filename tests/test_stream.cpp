@@ -10,8 +10,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -267,6 +267,32 @@ TEST(GenerateStream, ThreadCountInvariant) {
     ThreadOverrideGuard guard(threads);
     const auto stream = model.generate_stream();
     expect_same_requests(trace::collect(*stream), merged);
+  }
+}
+
+TEST(GenerateStream, DenseAndTiedMinutesMatchMaterialized) {
+  // A fill merges each minute in time slices of a few thousand draws. Five
+  // dense minutes (about 22,000 requests each) take several slices apiece;
+  // a 30 s trace has one minute, half of whose draws the end-of-day clamp
+  // ties at 29.999 s across every city, so the (timestamp, city)
+  // tie-break decides their order.
+  for (const double duration_s : {300.0, 30.0}) {
+    auto p = small_params();
+    p.duration_s = duration_s;
+    p.requests_per_weight = duration_s > 60.0 ? 10'000 : 2'000;
+    const trace::WorkloadModel model(util::paper_cities(), p);
+    const auto merged = trace::merge_by_time(model.generate());
+    for (const int threads : {1, 4}) {
+      for (const std::size_t chunk : {std::size_t{7}, std::size_t{1000},
+                                      trace::kDefaultChunkRequests}) {
+        SCOPED_TRACE("duration=" + std::to_string(duration_s) +
+                     " threads=" + std::to_string(threads) +
+                     " chunk=" + std::to_string(chunk));
+        ThreadOverrideGuard guard(threads);
+        const auto stream = model.generate_stream({chunk});
+        expect_same_requests(trace::collect(*stream), merged);
+      }
+    }
   }
 }
 
