@@ -46,15 +46,14 @@ namespace starcdn::trace::detail {
   return util::hash_combine(city_seed, util::splitmix64(minute));
 }
 
-/// Exactly std::stable_sort(items, by .ts) — equal timestamps keep their
-/// order — for items whose timestamps lie in [start_s, start_s + width_s),
-/// in expected linear time when they are spread evenly over it, as a
-/// minute's draws are. The bucket key ⌊(ts − start_s) · n / width_s⌋
-/// (clamped into [0, n)) leaves about one item per bucket, and it is
-/// monotone in ts: a lower key means a strictly earlier timestamp, and
-/// equal timestamps share a key. So a stable scatter by key leaves
-/// inversions only inside buckets, and one stable insertion sort removes
-/// them. Items outside the range are still sorted correctly, just slower.
+/// Exactly std::stable_sort(items, by .ts): equal timestamps keep their
+/// order. A stable scatter into n buckets keyed by the timestamp, then one
+/// stable insertion pass. Equal timestamps share a key, so the scatter
+/// keeps their order and the result is the stable sort for any key. The
+/// key ⌊(ts − start_s) · n / width_s⌋, clamped into [0, n), is also
+/// monotone in ts, so inversions stay inside buckets; for timestamps spread
+/// evenly over [start_s, start_s + width_s), as a minute's draws are, a
+/// bucket holds about one item and the sort takes expected linear time.
 template <typename T>
 void sort_by_time(std::span<T> items, double start_s, double width_s) {
   const std::size_t n = items.size();

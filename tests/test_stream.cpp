@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "util/hash.h"
 #include "util/loser_tree.h"
 #include "util/parallel.h"
+#include "util/rng.h"
 
 namespace starcdn {
 namespace {
@@ -389,6 +391,40 @@ TEST(MinuteOrder, LastFractionStaysInItsMinute) {
   const double clamp = 3'600.0 - 1e-3;
   EXPECT_EQ(trace::detail::draw_timestamp(59, kLastFraction, clamp), clamp);
   EXPECT_GE(clamp, 59 * 60.0);
+}
+
+TEST(MinuteOrder, SortByTimeIsStableSort) {
+  // Against std::stable_sort: spread-out timestamps, heavy ties (the
+  // end-of-day clamp), one bucket holding everything, and items outside
+  // the stated range.
+  struct Item {
+    double ts;
+    std::size_t id;
+  };
+  util::Rng rng(11);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                              std::size_t{17}, std::size_t{5'000}}) {
+    for (int shape = 0; shape < 4; ++shape) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " shape=" +
+                   std::to_string(shape));
+      std::vector<Item> items(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        double ts = 120.0 + 60.0 * rng.uniform();
+        if (shape == 1 && rng.bernoulli(0.5)) ts = 150.0;   // ties
+        if (shape == 2) ts = 120.0 + 1e-9 * rng.uniform();  // one bucket
+        if (shape == 3) ts = 60.0 + 180.0 * rng.uniform();  // out of range
+        items[i] = {ts, i};
+      }
+      auto expected = items;
+      std::stable_sort(
+          expected.begin(), expected.end(),
+          [](const Item& a, const Item& b) { return a.ts < b.ts; });
+      trace::detail::sort_by_time(std::span(items), 120.0, 60.0);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(items[i].id, expected[i].id) << "position " << i;
+      }
+    }
+  }
 }
 
 /// The minute m with m·60 <= ts < (m+1)·60, exactly: ts / 60 can round up
