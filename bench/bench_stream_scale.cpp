@@ -4,7 +4,8 @@
 // this to the smoke job). With the legacy materialized path this workload
 // needs ~32 bytes/request of trace memory (~3.2 GB at 100M) before the
 // simulator even starts; the streamed path holds one SoA chunk plus the
-// generator's window buffers regardless of --scale.
+// generator's current fill (the whole minutes one chunk needs) regardless
+// of --scale.
 //
 //   $ bench_stream_scale --scale=61 --chunk=65536 --rss-budget-mb=1500
 //

@@ -18,7 +18,6 @@
 #include <span>
 #include <vector>
 
-#include "util/hash.h"
 #include "util/units.h"
 
 namespace starcdn::trace::detail {
@@ -38,12 +37,6 @@ namespace starcdn::trace::detail {
   const double ts =
       (static_cast<double>(minute) + fraction) * util::kMinute.value();
   return std::min(clamp_s, ts < end ? ts : std::nextafter(end, start));
-}
-
-/// Seed of one (city, minute) cell's RNG, from its city's RNG seed.
-[[nodiscard]] inline std::uint64_t cell_seed(std::uint64_t city_seed,
-                                             std::size_t minute) noexcept {
-  return util::hash_combine(city_seed, util::splitmix64(minute));
 }
 
 /// Exactly std::stable_sort(items, by .ts): equal timestamps keep their

@@ -235,7 +235,8 @@ void WorkloadModel::draw_cell(std::size_t city, std::size_t minute,
                               std::span<Draw> out) const {
   const CityTable& t = city_tables_[city];
   const double clamp_s = params_.duration_s - 1e-3;
-  util::Rng rng(detail::cell_seed(city_seed(city, salt), minute));
+  util::Rng rng(
+      util::hash_combine(city_seed(city, salt), util::splitmix64(minute)));
   for (Draw& d : out) {
     const std::size_t k = t.sampler->sample(rng);
     d.object = t.entries[k].object;

@@ -16,13 +16,14 @@
 //      room for, then the next whole minutes until the block is full.
 //      Their cells are drawn in parallel, one task per (city, minute),
 //      into a scratch buffer at offsets the counts fix: minute by minute,
-//      city by city, each cell in draw order.
-//   3. Each minute is stable-sorted by timestamp (sort_minute, expected
-//      linear time) and written straight into the block's columns, in
-//      parallel over minutes. Sorting the cities' cells together in city
-//      order is merging the sorted cells by (timestamp, city) —
-//      merge_by_time's exact tie-break. The part of the last minute that
-//      does not fit is kept for the next block.
+//      city by city.
+//   3. Each minute is stable-sorted by timestamp (sort_by_time, expected
+//      linear time) and written straight into the block's columns.
+//      Sorting a minute's cells together in city order is merging them by
+//      (timestamp, city) — merge_by_time's exact tie-break. A dense minute
+//      is cut into time slices of about kSliceRequests draws, so the sort
+//      runs in parallel over slices, not just over minutes. The part of
+//      the last minute that does not fit is kept for the next block.
 //
 // Every request is drawn exactly once, so generation is O(requests), and
 // the generator holds O(chunk + one minute) of draws. The work of a next()
@@ -108,11 +109,11 @@ class WorkloadStream final : public RequestStream {
   /// Writes a slice's draws, in (timestamp, city) order, to their place in
   /// `out`. The cells of a minute with several slices are sorted, so binary
   /// searches find each cell's part of the slice and how many of its draws
-  /// come before it (a one-slice minute takes its cells whole). Gathered in
-  /// city order, each part in draw order or already in time order, the
-  /// slice's stable sort by timestamp is their (timestamp, city) merge —
-  /// merge_by_time's exact tie-break — and every draw of a later slice is
-  /// later in time.
+  /// come before it; a one-slice minute's bounds are ±∞, so it takes its
+  /// cells whole, sorted or not. Gathered in city order, each part in
+  /// draw order or already in time order, the slice's stable sort by
+  /// timestamp is their (timestamp, city) merge — merge_by_time's exact
+  /// tie-break — and every draw of a later slice is later in time.
   void merge_slice(const Slice& sl, std::size_t first, RequestBlock& out,
                    std::size_t base) const {
     const double width = util::kMinute.value() / static_cast<double>(sl.of);
