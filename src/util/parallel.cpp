@@ -5,8 +5,10 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <deque>
+#include <exception>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace starcdn::util {
@@ -166,7 +168,12 @@ void parallel_for_chunks(
 
   std::unique_lock lock(join->mutex);
   join->cv.wait(lock, [&join] { return join->pending == 0; });
-  if (join->error) std::rethrow_exception(join->error);
+  // A worker can still hold the last reference to `join` after it counted
+  // itself done, so the exception leaves the shared state here: the thread
+  // that catches it is then the only one that releases it.
+  if (std::exception_ptr error = std::exchange(join->error, nullptr)) {
+    std::rethrow_exception(std::move(error));
+  }
 }
 
 }  // namespace starcdn::util
