@@ -50,6 +50,7 @@ int main(int argc, char** argv) {
   params.object_count = 120'000;
   params.requests_per_weight = 60'000;
   params.duration_s = util::kDay.value();
+  if (harness.opts().seed != 0) params.seed = harness.opts().seed;
   const trace::WorkloadModel workload(util::paper_cities(), params);
   const auto production = workload.generate();
 

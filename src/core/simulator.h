@@ -33,6 +33,7 @@
 #include "core/failure.h"
 #include "core/metrics.h"
 #include "core/run_report.h"
+#include "core/serve.h"
 #include "core/variant.h"
 #include "net/bandwidth.h"
 #include "net/latency_model.h"
@@ -198,9 +199,10 @@ class Simulator {
   /// Throws std::out_of_range (from sched::LinkSchedule) on a request whose
   /// location is not one of the schedule's cities, and
   /// std::invalid_argument (trace::TimeOrderCheck) on a NaN or negative
-  /// timestamp or one earlier than the request before it — also across
-  /// chunks and across run() calls; the message counts the position over
-  /// every request this simulator was given.
+  /// timestamp, one earlier than the request before it, or one at or past
+  /// the schedule's horizon — also across chunks and across run() calls;
+  /// the message counts the position over every request this simulator
+  /// was given.
   void run(trace::RequestStream& stream);
 
   /// Close the run: seals each variant's epoch series, converts each
@@ -226,6 +228,7 @@ class Simulator {
   /// thread count and which other variants are registered.
   struct VariantState {
     Variant variant;
+    ServePlan plan;
     obs::Shard shard;         // every scalar counter of the run
     obs::EpochSeries series;  // per-epoch snapshots of the shard
     util::QuantileSampler latency_ms{kDefaultLatencyReservoir};
@@ -244,21 +247,20 @@ class Simulator {
   };
 
   /// Shared per-request context, hoisted out of the variant loop (stage 1):
-  /// the scheduler epoch, the first-contact lookup (once per request, and
-  /// once at the frozen epoch 0 when a kStatic variant is registered,
-  /// instead of once per variant), and whether the scheduler's reshuffle
-  /// handed this user to a different satellite than the previous epoch.
+  /// the serve plan's contact step (once per request, and once at the
+  /// frozen epoch 0 when a kStatic variant is registered, instead of once
+  /// per variant), and whether the scheduler's reshuffle handed this user
+  /// to a different satellite than the previous epoch.
   struct RequestContext {
-    util::EpochIdx epoch{0};
+    Contact contact;
     bool handover = false;       // first contact differs from epoch - 1's
-    sched::Candidate fc;         // first contact at the real epoch
     sched::Candidate fc_static;  // first contact at the frozen epoch 0
   };
 
   /// Stage-1 fan-out over one chunk: each slot is a pure function of the
   /// request index, seeded by `counter_base` (the shared request-counter
-  /// position at the chunk's first request). Checks the chunk's time order
-  /// first (time_order_).
+  /// position at the chunk's first request). Checks the chunk's timestamps
+  /// first (contact_).
   void build_context(const trace::RequestBlock& block,
                      std::uint64_t counter_base, bool need_static,
                      std::vector<RequestContext>& ctx);
@@ -275,7 +277,6 @@ class Simulator {
                const sched::Candidate& fc);
   void maybe_prefetch(VariantState& vs, util::SatId serving,
                       util::EpochIdx epoch);
-  cache::Cache& cache_at(VariantState& vs, util::SatId sat);
   void note_sat(VariantState& vs, util::SatId sat, const trace::Request& r,
                 bool hit);
 
@@ -289,7 +290,7 @@ class Simulator {
   std::vector<VariantState> variants_;
   std::vector<MetricsSink*> sinks_;
   // Only build_context touches it, and only one build runs at a time.
-  trace::TimeOrderCheck time_order_;
+  ContactStep contact_;
 };
 
 }  // namespace starcdn::core

@@ -4,10 +4,9 @@
 #include <thread>
 #include <vector>
 
-#include "core/bucket_mapper.h"
+#include "core/serve.h"
 #include "net/transport.h"
 #include "obs/tracer.h"
-#include "util/hash.h"
 #include "util/ids.h"
 
 namespace starcdn::replay {
@@ -39,20 +38,20 @@ void worker_loop(std::uint32_t node_id, Channel& channel,
     reply.request_id = msg->request_id;
     switch (msg->type) {
       case MessageType::kRequest:
-        // Owner-path access: touch (hit) without admitting on miss — the
-        // orchestrator decides the fill source first.
+        // The plan's touch: a hit refreshes the entry; a miss admits
+        // nothing.
         reply.type = MessageType::kResponse;
         if (cache->touch(msg->object_id)) reply.flags |= net::kFlagHit;
         channel.send(reply);
         break;
       case MessageType::kRelayProbe:
-        // Side-effect-free probe of a neighbour replica.
+        // The plan's peek: side-effect free.
         reply.type = MessageType::kRelayReply;
         if (cache->peek(msg->object_id)) reply.flags |= net::kFlagHit;
         channel.send(reply);
         break;
       case MessageType::kGroundReply:
-        // Fill directive: object arrived (from replica or ground); admit.
+        // The plan's admit; no reply.
         cache->admit(msg->object_id, msg->size_bytes);
         break;
       case MessageType::kControl:
@@ -122,15 +121,44 @@ Cluster spawn_cluster(int n_nodes, const ReplayConfig& config) {
   return cluster;
 }
 
-/// Blocking RPC helper: send and await the matching reply.
-Message rpc(Channel& ch, const Message& m) {
-  ch.send(m);
-  for (;;) {
-    auto reply = ch.recv();
-    if (!reply) throw std::runtime_error("replay: worker died mid-RPC");
-    if (reply->request_id == m.request_id) return *reply;
+/// The serve plan's cache access as messages to the satellite workers:
+/// touch and peek are blocking RPCs, admit a one-way fill directive.
+struct ClusterCaches {
+  Cluster& cluster;
+  std::uint64_t rpc_id = 0;
+
+  Channel& channel(util::SatId sat) {
+    return *cluster.channels[util::as_index(sat)];
   }
-}
+  bool rpc(MessageType type, util::SatId sat, cache::ObjectId id) {
+    Message m;
+    m.type = type;
+    m.object_id = id;
+    m.request_id = ++rpc_id;
+    Channel& ch = channel(sat);
+    ch.send(m);
+    for (;;) {
+      auto reply = ch.recv();
+      if (!reply) throw std::runtime_error("replay: worker died mid-RPC");
+      if (reply->request_id == m.request_id) {
+        return (reply->flags & net::kFlagHit) != 0;
+      }
+    }
+  }
+  bool touch(util::SatId sat, cache::ObjectId id) {
+    return rpc(MessageType::kRequest, sat, id);
+  }
+  bool peek(util::SatId sat, cache::ObjectId id) {
+    return rpc(MessageType::kRelayProbe, sat, id);
+  }
+  void admit(util::SatId sat, cache::ObjectId id, util::Bytes size) {
+    Message fill;
+    fill.type = MessageType::kGroundReply;
+    fill.object_id = id;
+    fill.size_bytes = size;
+    channel(sat).send(fill);
+  }
+};
 
 }  // namespace
 
@@ -148,81 +176,35 @@ ReplayReport replay_cluster(const orbit::Constellation& constellation,
     return spawn_cluster(constellation.size(), config);
   }();
 
+  const core::ServePlan plan =
+      core::ServePlan::of(core::Variant::kStarCdn, config.relay_east);
+  core::ContactStep contact(schedule, config.users_per_city);
+  ClusterCaches caches{cluster};
   ReplayReport report;
   std::uint64_t request_counter = 0;
-  std::uint64_t rpc_id = 0;
-  const auto channel_of = [&](util::SatId sat) -> Channel& {
-    return *cluster.channels[util::as_index(sat)];
-  };
-
-  const auto process = [&](const trace::Request& r) {
-    ++report.requests;
-    const util::EpochIdx epoch =
-        schedule.epoch_of(util::Seconds{r.timestamp_s});
-    const std::uint64_t user =
-        util::splitmix64(request_counter++) %
-        static_cast<std::uint64_t>(config.users_per_city);
-    const auto fc =
-        schedule.first_contact(epoch, util::CityId{r.location}, user);
-    if (fc.sat.value() < 0) {
-      ++report.misses;
-      report.uplink_bytes += r.size;
-      return;
-    }
-    const util::SatId owner =
-        mapper.owner_of(fc.sat, mapper.bucket_of_object(r.object));
-    const util::SatId serving = owner.value() >= 0 ? owner : fc.sat;
-
-    Message req;
-    req.type = MessageType::kRequest;
-    req.object_id = r.object;
-    req.size_bytes = r.size;
-    req.request_id = ++rpc_id;
-    const Message resp = rpc(channel_of(serving), req);
-    if (resp.flags & net::kFlagHit) {
-      ++report.hits;
-      return;
-    }
-
-    // Relayed fetch: probe same-bucket west then east replicas.
-    bool relayed = false;
-    for (const util::SatId replica :
-         {mapper.west_of(serving),
-          config.relay_east ? mapper.east_of(serving) : util::kNoSat}) {
-      if (replica.value() < 0) continue;
-      Message probe;
-      probe.type = MessageType::kRelayProbe;
-      probe.object_id = r.object;
-      probe.size_bytes = r.size;
-      probe.request_id = ++rpc_id;
-      const Message reply = rpc(channel_of(replica), probe);
-      if (reply.flags & net::kFlagHit) {
-        relayed = true;
-        break;
+  trace::RequestBlock block;
+  while (stream.next(block)) {
+    contact.check(block);
+    for (std::size_t i = 0; i < block.count(); ++i) {
+      const trace::Request r = block.at(i);
+      ++report.requests;
+      const core::Contact c = contact.at(
+          r.timestamp_s, util::CityId{r.location}, request_counter++);
+      const core::Fetch f =
+          c.fc.sat.value() < 0
+              ? core::Fetch{}  // coverage gap: bent pipe to the ground
+              : core::fetch(mapper, plan,
+                            core::route(mapper, plan, c.fc.sat, r.object)
+                                .serving,
+                            r.object, r.size, caches);
+      if (f.source == core::Fetch::Source::kGround) {
+        ++report.misses;
+        report.uplink_bytes += r.size;
+      } else {
+        ++report.hits;
+        if (f.source != core::Fetch::Source::kOwner) ++report.relay_hits;
       }
     }
-    if (!relayed) report.uplink_bytes += r.size;  // origin fetch
-
-    // Fill the owner either way (from the replica or from the ground).
-    Message fill;
-    fill.type = MessageType::kGroundReply;
-    fill.object_id = r.object;
-    fill.size_bytes = r.size;
-    fill.flags = relayed ? net::kFlagHit : 0;
-    channel_of(serving).send(fill);
-    if (relayed) {
-      ++report.hits;
-      ++report.relay_hits;
-    } else {
-      ++report.misses;
-    }
-  };
-
-  trace::RequestBlock block;
-  trace::TimeOrderCheck time_order;
-  while (stream.next(block)) {
-    time_order.check(block);
-    for (std::size_t i = 0; i < block.count(); ++i) process(block.at(i));
   }
 
   // Graceful shutdown so worker caches drain deterministically.

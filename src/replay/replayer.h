@@ -1,14 +1,12 @@
-// Message-driven cluster replayer (§5.1).
-//
-// The paper's evaluation harness spawns one cache process per satellite and
-// mimics ISLs with TCP. This module reproduces that architecture: each
-// satellite runs as a worker thread owning its cache and speaking the
-// net/codec wire protocol over a Channel; an orchestrator replays a trace
-// by issuing Request/RelayProbe/Admit messages along the StarCDN pipeline
-// (consistent hashing -> owner -> relayed fetch -> ground). Two transports
-// are provided: in-process queues (fast, deterministic) and real TCP
-// loopback sockets (faithful to the paper's setup). Both produce
-// bit-identical results — asserted by the integration tests.
+// Message-driven cluster replayer (§5.1): one worker thread per satellite
+// owns its cache and speaks the net/codec wire protocol over a Channel, as
+// the paper's per-satellite processes over TCP do. The orchestrator runs
+// the Simulator's kStarCdn serve plan (core/serve.h) with messages: touch
+// is a kRequest RPC (owner, and the replica serving a relay hit), peek a
+// kRelayProbe RPC, admit a one-way kGroundReply. It does not model
+// transient outages, kPrefetch, handovers or kStatic. The in-process and
+// TCP transports give identical counters, equal to the Simulator's
+// (ServeParity tests).
 #pragma once
 
 #include <cstdint>
@@ -54,9 +52,9 @@ struct ReplayReport {
 /// trace::VectorStream). Throws std::runtime_error on transport failures,
 /// std::out_of_range (from sched::LinkSchedule) on a request whose
 /// location is not one of the schedule's cities, and std::invalid_argument
-/// (trace::TimeOrderCheck) on a NaN or negative timestamp or one earlier
-/// than the request before it, also across chunks; the workers are shut
-/// down and joined either way.
+/// (trace::TimeOrderCheck) on a NaN or negative timestamp, one earlier
+/// than the request before it, or one at or past the schedule's horizon,
+/// also across chunks; the workers are shut down and joined either way.
 [[nodiscard]] ReplayReport replay_cluster(
     const orbit::Constellation& constellation,
     const sched::LinkSchedule& schedule, trace::RequestStream& stream,

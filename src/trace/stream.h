@@ -142,16 +142,21 @@ class MultiTraceStream final : public RequestStream {
 };
 
 /// The ingestion check of a replay: its timestamps must be non-negative,
-/// non-decreasing numbers, across block boundaries too. One compare per
-/// request — `ts >= previous`, the first request compared with 0 — fails
-/// on a NaN, on a negative timestamp and on a step back in time.
+/// non-decreasing numbers below `horizon_s`, across block boundaries too.
+/// One compare per request — `ts >= previous`, the first request compared
+/// with 0 — fails on a NaN, on a negative timestamp and on a step back in
+/// time; since the block is then in order, one compare of its last
+/// timestamp against the horizon covers the rest.
 class TimeOrderCheck {
  public:
+  explicit TimeOrderCheck(double horizon_s) noexcept : horizon_(horizon_s) {}
+
   /// Throws std::invalid_argument naming the offending request's position
-  /// (counted over every block checked so far) and both timestamps.
+  /// (counted over every block checked so far) and its timestamp.
   void check(const RequestBlock& block);
 
  private:
+  double horizon_;
   double last_ = 0.0;
   std::uint64_t checked_ = 0;
 };

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -15,159 +16,166 @@
 namespace starcdn::replay {
 namespace {
 
-/// Small cluster so the TCP mode stays cheap: 6x4 grid = 24 workers.
-orbit::WalkerParams small_shell() {
-  orbit::WalkerParams p;
-  p.planes = 6;
-  p.slots_per_plane = 4;
-  return p;
-}
-
-std::vector<trace::Request> small_requests() {
-  auto p = trace::default_params(trace::TrafficClass::kVideo);
-  p.object_count = 2'000;
-  p.duration_s = 600.0;
-  const trace::WorkloadModel w(util::paper_cities(), p);
-  std::vector<trace::Request> reqs;
-  for (std::size_t c = 0; c < util::paper_cities().size(); ++c) {
-    const auto t = w.generate_city(c, 400);
-    reqs.insert(reqs.end(), t.requests.begin(), t.requests.end());
+/// A small cluster, so the TCP mode stays cheap (6x4 grid = 24 workers),
+/// its 600 s schedule and a 3,600-request trace, built once for the suite.
+class Replay : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    orbit::WalkerParams p;
+    p.planes = 6;
+    p.slots_per_plane = 4;
+    shell_ = std::make_unique<orbit::Constellation>(p);
+    schedule_ = std::make_unique<sched::LinkSchedule>(
+        *shell_, util::paper_cities(), util::Seconds{600.0});
+    requests_ = std::make_unique<std::vector<trace::Request>>(
+        small_requests());
   }
-  std::sort(reqs.begin(), reqs.end(),
-            [](const auto& a, const auto& b) {
-              return a.timestamp_s < b.timestamp_s;
-            });
-  return reqs;
-}
+  static void TearDownTestSuite() {
+    requests_.reset();
+    schedule_.reset();
+    shell_.reset();
+  }
 
-/// replay_cluster over a materialized trace.
-ReplayReport replay(const orbit::Constellation& shell,
-                    const sched::LinkSchedule& schedule,
-                    const std::vector<trace::Request>& requests,
-                    const ReplayConfig& cfg) {
-  trace::VectorStream stream(requests);
-  return replay_cluster(shell, schedule, stream, cfg);
-}
+  static std::vector<trace::Request> small_requests() {
+    auto p = trace::default_params(trace::TrafficClass::kVideo);
+    p.object_count = 2'000;
+    p.duration_s = 600.0;
+    const trace::WorkloadModel w(util::paper_cities(), p);
+    std::vector<trace::Request> reqs;
+    for (std::size_t c = 0; c < util::paper_cities().size(); ++c) {
+      const auto t = w.generate_city(c, 400);
+      reqs.insert(reqs.end(), t.requests.begin(), t.requests.end());
+    }
+    std::sort(reqs.begin(), reqs.end(), [](const auto& a, const auto& b) {
+      return a.timestamp_s < b.timestamp_s;
+    });
+    return reqs;
+  }
 
-TEST(Replay, InProcessBasicAccounting) {
-  const orbit::Constellation shell{small_shell()};
-  const sched::LinkSchedule schedule(shell, util::paper_cities(), util::Seconds{600.0});
-  const auto requests = small_requests();
+  /// replay_cluster over `requests` (the suite's trace by default).
+  static ReplayReport replay(const ReplayConfig& cfg,
+                             const std::vector<trace::Request>& requests =
+                                 *requests_) {
+    trace::VectorStream stream(requests);
+    return replay_cluster(*shell_, *schedule_, stream, cfg);
+  }
 
+  /// replay_cluster over `requests` in `chunk`-request blocks; the message
+  /// of the std::invalid_argument it throws, or "" when it does not throw.
+  static std::string rejection(const std::vector<trace::Request>& requests,
+                               std::size_t chunk) {
+    trace::VectorStream stream(requests, chunk);
+    try {
+      (void)replay_cluster(*shell_, *schedule_, stream, ReplayConfig{});
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  }
+
+  /// The suite trace's first six requests.
+  static std::vector<trace::Request> first_six() {
+    return {requests_->begin(), requests_->begin() + 6};
+  }
+
+  static inline std::unique_ptr<orbit::Constellation> shell_;
+  static inline std::unique_ptr<sched::LinkSchedule> schedule_;
+  static inline std::unique_ptr<std::vector<trace::Request>> requests_;
+};
+
+TEST_F(Replay, InProcessBasicAccounting) {
   ReplayConfig cfg;
   cfg.cache_capacity = util::mib(512);
-  const auto report = replay(shell, schedule, requests, cfg);
-  EXPECT_EQ(report.requests, requests.size());
+  const auto report = replay(cfg);
+  EXPECT_EQ(report.requests, requests_->size());
   EXPECT_GT(report.hits, 0u);
   EXPECT_EQ(report.hits + report.misses, report.requests);
   EXPECT_GT(report.request_hit_rate(), 0.0);
   EXPECT_GT(report.uplink_bytes, 0u);
 }
 
-TEST(Replay, TcpModeMatchesInProcessBitForBit) {
+TEST_F(Replay, TcpModeMatchesInProcessBitForBit) {
   // The paper's replayer uses TCP between per-satellite processes; our two
   // transports must produce identical results — the protocol, not the
   // transport, determines caching behaviour.
-  const orbit::Constellation shell{small_shell()};
-  const sched::LinkSchedule schedule(shell, util::paper_cities(), util::Seconds{600.0});
-  const auto requests = small_requests();
-
   ReplayConfig inproc;
   inproc.cache_capacity = util::mib(256);
   inproc.transport = TransportKind::kInProcess;
   ReplayConfig tcp = inproc;
   tcp.transport = TransportKind::kTcp;
-
-  const auto a = replay(shell, schedule, requests, inproc);
-  const auto b = replay(shell, schedule, requests, tcp);
-  EXPECT_EQ(a, b);
+  EXPECT_EQ(replay(inproc), replay(tcp));
 }
 
-TEST(Replay, RelayImprovesHitRate) {
-  const orbit::Constellation shell{small_shell()};
-  const sched::LinkSchedule schedule(shell, util::paper_cities(), util::Seconds{600.0});
-  const auto requests = small_requests();
-
+TEST_F(Replay, RelayImprovesHitRate) {
   ReplayConfig with_relay;
   with_relay.cache_capacity = util::mib(128);
   ReplayConfig no_east = with_relay;
   no_east.relay_east = false;
 
-  const auto full = replay(shell, schedule, requests, with_relay);
-  const auto west_only = replay(shell, schedule, requests, no_east);
+  const auto full = replay(with_relay);
+  const auto west_only = replay(no_east);
   EXPECT_GE(full.hits, west_only.hits);
   EXPECT_GT(full.relay_hits, 0u);
 }
 
-TEST(Replay, DeterministicAcrossRuns) {
-  const orbit::Constellation shell{small_shell()};
-  const sched::LinkSchedule schedule(shell, util::paper_cities(), util::Seconds{600.0});
-  const auto requests = small_requests();
+TEST_F(Replay, DeterministicAcrossRuns) {
   ReplayConfig cfg;
   cfg.cache_capacity = util::mib(64);
-  const auto a = replay(shell, schedule, requests, cfg);
-  const auto b = replay(shell, schedule, requests, cfg);
-  EXPECT_EQ(a, b);
+  EXPECT_EQ(replay(cfg), replay(cfg));
 }
 
-TEST(Replay, RejectsLocationOutsideSchedule) {
+TEST_F(Replay, RejectsLocationOutsideSchedule) {
   // location == n_cities at the last epoch would read past the end of the
   // schedule table; the schedule rejects it and the cluster still shuts
   // down cleanly.
-  const orbit::Constellation shell{small_shell()};
-  const sched::LinkSchedule schedule(shell, util::paper_cities(),
-                                     util::Seconds{600.0});
   trace::Request r;
   r.timestamp_s = 599.0;
   r.object = 1;
   r.size = 1024;
   r.location = static_cast<std::uint16_t>(util::paper_cities().size());
-  const std::vector<trace::Request> bad{r};
-  EXPECT_THROW((void)replay(shell, schedule, bad, ReplayConfig{}),
-               std::out_of_range);
+  EXPECT_THROW((void)replay(ReplayConfig{}, {r}), std::out_of_range);
 }
 
-/// replay_cluster over `requests` in `chunk`-request blocks; the message of
-/// the std::invalid_argument it throws, or "" when it does not throw.
-std::string time_order_error(const std::vector<trace::Request>& requests,
-                             std::size_t chunk) {
-  const orbit::Constellation shell{small_shell()};
-  const sched::LinkSchedule schedule(shell, util::paper_cities(),
-                                     util::Seconds{600.0});
-  trace::VectorStream stream(requests, chunk);
-  try {
-    (void)replay_cluster(shell, schedule, stream, ReplayConfig{});
-  } catch (const std::invalid_argument& e) {
-    return e.what();
-  }
-  return "";
-}
-
-TEST(Replay, RejectsOutOfOrderNaNAndNegativeTimestamps) {
-  const auto all = small_requests();
-  const std::vector<trace::Request> ok(all.begin(), all.begin() + 6);
-  ASSERT_EQ(time_order_error(ok, 64), "");
+TEST_F(Replay, RejectsOutOfOrderNaNAndNegativeTimestamps) {
+  const auto ok = first_six();
+  ASSERT_EQ(rejection(ok, 64), "");
 
   auto reversed = ok;
   std::swap(reversed[3].timestamp_s, reversed[4].timestamp_s);
   ASSERT_LT(reversed[4].timestamp_s, reversed[3].timestamp_s);
-  EXPECT_EQ(time_order_error(reversed, 64).rfind("request 4:", 0), 0u);
+  EXPECT_EQ(rejection(reversed, 64).rfind("request 4:", 0), 0u);
 
   auto nan = ok;
   nan[2].timestamp_s = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_EQ(time_order_error(nan, 64).rfind("request 2:", 0), 0u);
+  EXPECT_EQ(rejection(nan, 64).rfind("request 2:", 0), 0u);
 
   auto negative = ok;
   negative[0].timestamp_s = -1.0;
-  EXPECT_EQ(time_order_error(negative, 64).rfind("request 0:", 0), 0u);
+  EXPECT_EQ(rejection(negative, 64).rfind("request 0:", 0), 0u);
 }
 
-TEST(Replay, RejectsStepBackAcrossChunkBoundary) {
-  const auto all = small_requests();
-  std::vector<trace::Request> split(all.begin(), all.begin() + 6);
+TEST_F(Replay, RejectsStepBackAcrossChunkBoundary) {
+  auto split = first_six();
   split[3].timestamp_s = std::nextafter(split[2].timestamp_s, 0.0);
-  EXPECT_EQ(time_order_error(split, 3).rfind("request 3:", 0), 0u);
-  EXPECT_EQ(time_order_error(split, 64).rfind("request 3:", 0), 0u);
+  EXPECT_EQ(rejection(split, 3).rfind("request 3:", 0), 0u);
+  EXPECT_EQ(rejection(split, 64).rfind("request 3:", 0), 0u);
+}
+
+TEST_F(Replay, RejectsTimestampAtScheduleHorizon) {
+  // The 600 s schedule has 40 epochs of 15 s: 600 s has no geometry. The
+  // first request at the horizon is the first of the second 3-request
+  // chunk, so its position is counted across chunks.
+  const double horizon = 600.0;
+  auto late = first_six();
+  for (std::size_t i = 3; i < late.size(); ++i) late[i].timestamp_s = horizon;
+  EXPECT_EQ(rejection(late, 3).rfind("request 3:", 0), 0u);
+  EXPECT_EQ(rejection(late, 64).rfind("request 3:", 0), 0u);
+
+  auto below = late;
+  for (std::size_t i = 3; i < below.size(); ++i) {
+    below[i].timestamp_s = std::nextafter(horizon, 0.0);
+  }
+  EXPECT_EQ(rejection(below, 3), "");
 }
 
 }  // namespace

@@ -350,6 +350,28 @@ TEST_F(SimulatorTest, RejectsStepBackAcrossChunkBoundary) {
             0u);
 }
 
+TEST_F(SimulatorTest, RejectsTimestampAtScheduleHorizon) {
+  // The two-hour schedule ends at 480 epochs x 15 s = 7,200 s; a request
+  // there would read the last epoch's geometry. The first one at the
+  // horizon opens the second 3-request chunk.
+  const double horizon = 2 * util::kHour.value();
+  std::vector<trace::Request> late(requests_->begin(), requests_->begin() + 6);
+  for (std::size_t i = 3; i < late.size(); ++i) late[i].timestamp_s = horizon;
+  EXPECT_EQ(time_order_error(*shell_, *schedule_, small_config(), late, 3)
+                .rfind("request 3:", 0),
+            0u);
+  EXPECT_EQ(time_order_error(*shell_, *schedule_, small_config(), late, 64)
+                .rfind("request 3:", 0),
+            0u);
+
+  auto below = late;
+  for (std::size_t i = 3; i < below.size(); ++i) {
+    below[i].timestamp_s = std::nextafter(horizon, 0.0);
+  }
+  EXPECT_EQ(time_order_error(*shell_, *schedule_, small_config(), below, 3),
+            "");
+}
+
 // --- Golden regression -------------------------------------------------------
 //
 // End-to-end metrics captured from the pre-rewrite (node-based) cache
