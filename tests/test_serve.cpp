@@ -54,8 +54,9 @@ class ServeParity : public ::testing::Test {
     core::Simulator sim(*shell_, *schedule_, cfg);
     trace::VectorStream stream(*requests_);
     sim.run(stream);
+    const core::RunReport report = sim.finish();
     const core::VariantMetrics& m =
-        sim.finish().variant(core::Variant::kStarCdn).metrics;
+        report.variant(core::Variant::kStarCdn).metrics;
     replay::ReplayReport r;
     r.requests = m.requests;
     r.hits = m.hits();
