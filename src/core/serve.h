@@ -1,7 +1,6 @@
-// The serve plan: the one StarCDN serve decision that both the Simulator
-// and replay::replay_cluster execute — contact (epoch, user terminal, first
-// contact), route (bucket owner, §3.2) and fetch (owner, then relayed
-// fetch from a same-bucket replica, §3.3, then ground). DESIGN.md §5.
+// The StarCDN serve decision that core::Simulator and replay::replay_cluster
+// both run: contact, route to the bucket owner (§3.2), then fetch with the
+// relayed fetch (§3.3). DESIGN.md §5.
 #pragma once
 
 #include <cstdint>
@@ -10,119 +9,75 @@
 #include "core/bucket_mapper.h"
 #include "core/variant.h"
 #include "sched/scheduler.h"
-#include "trace/record.h"
-#include "trace/stream.h"
 #include "util/hash.h"
 #include "util/ids.h"
 
 namespace starcdn::core {
 
-/// What a variant's serve plan does after contact.
-struct ServePlan {
-  enum class Relay : std::uint8_t {
-    kNone,
-    kSameBucket,  // same-bucket replicas west_of/east_of the owner
-    kAdjacent,    // immediate inter-plane neighbours (no hashing)
-  };
-  bool hashed = true;
-  Relay relay = Relay::kSameBucket;
-  bool relay_east = true;  // also probe the east partner
-
-  [[nodiscard]] static ServePlan of(Variant v, bool relay_east) noexcept {
-    const bool hashed = v == Variant::kHashOnly || v == Variant::kStarCdn ||
-                        v == Variant::kPrefetch;
-    const Relay relay = v == Variant::kStarCdn     ? Relay::kSameBucket
-                        : v == Variant::kRelayOnly ? Relay::kAdjacent
-                                                   : Relay::kNone;
-    return {hashed, relay, relay_east};
-  }
-};
-
 struct Contact {
   util::EpochIdx epoch{0};
-  std::uint64_t user = 0;  // logical user terminal within the city
+  std::uint64_t user = 0;  // the city's user terminal
   sched::Candidate fc;     // first contact; fc.sat < 0 in a coverage gap
 };
 
-/// Step 1. Owns the replay's ingestion check: timestamps are non-negative,
-/// non-decreasing and below the schedule's horizon, epochs() *
-/// epoch_duration() (past it the schedule has no geometry).
-class ContactStep {
- public:
-  ContactStep(const sched::LinkSchedule& schedule, int users_per_city)
-      : schedule_(&schedule),
-        users_(static_cast<std::uint64_t>(users_per_city)),
-        check_(static_cast<double>(schedule.epochs()) *
-               schedule.epoch_duration().value()) {}
+/// Step 1. `counter`, the request's position, rotates the city's `users`
+/// terminals so an epoch's requests spread over its candidates as
+/// CosmicBeats splits them (§5.1). Throws std::out_of_range on an unknown
+/// city.
+[[nodiscard]] inline Contact contact(const sched::LinkSchedule& schedule,
+                                     std::uint64_t users, double timestamp_s,
+                                     util::CityId city,
+                                     std::uint64_t counter) {
+  Contact c;
+  c.epoch = schedule.epoch_of(util::Seconds{timestamp_s});
+  c.user = util::splitmix64(counter) % users;
+  c.fc = schedule.first_contact(c.epoch, city, c.user);
+  return c;
+}
 
-  /// Throws std::invalid_argument (trace::TimeOrderCheck) naming the first
-  /// offending request's position over every block checked so far.
-  void check(const trace::RequestBlock& block) { check_.check(block); }
-
-  /// `counter` (the request's position) rotates the city's user terminals
-  /// so an epoch's requests spread over its candidates as CosmicBeats
-  /// splits them (§5.1). Throws std::out_of_range on an unknown city.
-  [[nodiscard]] Contact at(double timestamp_s, util::CityId city,
-                           std::uint64_t counter) const {
-    Contact c;
-    c.epoch = schedule_->epoch_of(util::Seconds{timestamp_s});
-    c.user = util::splitmix64(counter) % users_;
-    c.fc = schedule_->first_contact(c.epoch, city, c.user);
-    return c;
-  }
-
- private:
-  const sched::LinkSchedule* schedule_;
-  std::uint64_t users_;
-  trace::TimeOrderCheck check_;
-};
-
-struct Route {
-  util::SatId serving;    // owner, or first contact when there is none
-  util::BucketId bucket;  // the object's bucket (read when hashed)
-};
-
-/// Step 2, for a request whose first contact `fc` is a satellite.
-[[nodiscard]] inline Route route(const BucketMapper& mapper,
-                                 const ServePlan& plan, util::SatId fc,
-                                 cache::ObjectId object) noexcept {
-  if (!plan.hashed) return {fc, util::BucketId{0}};
-  const util::BucketId bucket = mapper.bucket_of_object(object);
+/// Step 2, for a hashed variant: the owner of `bucket` seen from first
+/// contact `fc`, or `fc` when no satellite owns it.
+[[nodiscard]] inline util::SatId route(const BucketMapper& mapper,
+                                       util::SatId fc,
+                                       util::BucketId bucket) noexcept {
   const util::SatId owner = mapper.owner_of(fc, bucket);
-  return {owner.value() >= 0 ? owner : fc, bucket};
+  return owner.value() >= 0 ? owner : fc;
 }
 
 struct Fetch {
   enum class Source : std::uint8_t { kOwner, kWest, kEast, kGround };
   Source source = Source::kGround;
-  // Which relay partners held the object when the owner missed (Table 3);
-  // a relay hit is served from the west partner when both do.
+  // Which relay partners held the object (Table 3). After a west hit the
+  // east partner is probed only when the cache access sets kPeekBoth.
   bool west_has = false;
   bool east_has = false;
 };
 
-/// Step 3 at `owner` (route().serving). `Caches` has touch(sat, id) (a hit
-/// refreshes the entry), peek(sat, id) (no side effect) and admit(sat, id,
-/// size). The replica that serves a relay hit is touched: it served a
-/// request, and SimulatorGolden pins that refresh.
+/// Step 3 at the serving satellite `owner`. `Caches` has touch(sat, id) (a
+/// hit refreshes the entry), peek(sat, id) (no side effect), admit(sat, id,
+/// size) and `kPeekBoth`: probe the east partner after a west hit too. The
+/// replica that serves a relay hit is touched. Forced inline: it is on the
+/// Simulator's per-request path.
 template <class Caches>
-[[nodiscard]] Fetch fetch(const BucketMapper& mapper, const ServePlan& plan,
-                          util::SatId owner, cache::ObjectId object,
-                          util::Bytes size, Caches& caches) {
+[[nodiscard, gnu::always_inline]] inline Fetch fetch(
+    const BucketMapper& mapper, Variant v, bool relay_east, util::SatId owner,
+    cache::ObjectId object, util::Bytes size, Caches& caches) {
   Fetch f;
   if (caches.touch(owner, object)) {
     f.source = Fetch::Source::kOwner;
     return f;
   }
-  if (plan.relay != ServePlan::Relay::kNone) {
-    const bool same = plan.relay == ServePlan::Relay::kSameBucket;
+  if (v == Variant::kStarCdn || v == Variant::kRelayOnly) {
+    // Same-bucket replicas when hashed, else the adjacent planes.
+    const bool star = v == Variant::kStarCdn;
     const util::SatId west =
-        same ? mapper.west_of(owner) : mapper.west_adjacent(owner);
-    const util::SatId east = !plan.relay_east ? util::kNoSat
-                             : same           ? mapper.east_of(owner)
-                                              : mapper.east_adjacent(owner);
+        star ? mapper.west_of(owner) : mapper.west_adjacent(owner);
+    const util::SatId east = !relay_east ? util::kNoSat
+                             : star      ? mapper.east_of(owner)
+                                         : mapper.east_adjacent(owner);
     f.west_has = west.value() >= 0 && caches.peek(west, object);
-    f.east_has = east.value() >= 0 && caches.peek(east, object);
+    f.east_has = (Caches::kPeekBoth || !f.west_has) && east.value() >= 0 &&
+                 caches.peek(east, object);
     if (f.west_has || f.east_has) {
       f.source = f.west_has ? Fetch::Source::kWest : Fetch::Source::kEast;
       (void)caches.touch(f.west_has ? west : east, object);

@@ -4,6 +4,7 @@
 #include <string>
 #include <utility>
 
+#include "core/serve.h"
 #include "obs/tracer.h"
 #include "util/parallel.h"
 
@@ -42,32 +43,6 @@ SimConfig validated(SimConfig config) {
   config.validate();
   return config;
 }
-
-/// The serve plan's cache access over one variant's per-satellite caches,
-/// each built on first use.
-struct LocalCaches {
-  std::vector<std::unique_ptr<cache::Cache>>& slots;
-  const SimConfig& config;
-
-  cache::Cache& at(SatId sat) {
-    auto& slot = slots[util::as_index(sat)];
-    if (!slot) {
-      slot = cache::make_cache(
-          config.policy, config.cache_capacity,
-          cache::presize_hint(config.cache_capacity,
-                              config.mean_object_size_hint));
-    }
-    return *slot;
-  }
-  bool touch(SatId sat, cache::ObjectId id) { return at(sat).touch(id); }
-  bool peek(SatId sat, cache::ObjectId id) const {
-    const auto& slot = slots[util::as_index(sat)];
-    return slot && slot->peek(id);
-  }
-  void admit(SatId sat, cache::ObjectId id, util::Bytes size) {
-    at(sat).admit(id, size);
-  }
-};
 
 }  // namespace
 
@@ -115,7 +90,7 @@ Simulator::Simulator(const orbit::Constellation& constellation,
       mapper_(constellation, config_.buckets),
       latency_(latency_params),
       ids_(register_core_metrics(registry_)),
-      contact_(schedule, schedule.params().users_per_city) {
+      time_order_(schedule.horizon().value()) {
   // Surface the constellation's failure remapping in the trace timeline:
   // one instant per inactive satellite, tagged with the slot that absorbs
   // its buckets (Fig. 11's failure scenario).
@@ -141,7 +116,6 @@ void Simulator::add_variant(Variant v) {
   }
   VariantState vs;
   vs.variant = v;
-  vs.plan = ServePlan::of(v, config_.relay_east);
   // Per-variant deterministic streams. The transient model is seeded
   // identically for every variant so they all observe the same outage
   // schedule; the latency-sampling RNG is variant-specific so streams stay
@@ -175,6 +149,35 @@ void Simulator::add_variant(Variant v) {
 
 void Simulator::add_sink(MetricsSink& sink) { sinks_.push_back(&sink); }
 
+cache::Cache& Simulator::cache_at(VariantState& vs, SatId sat) {
+  auto& slot = vs.caches[util::as_index(sat)];
+  if (!slot) {
+    slot = cache::make_cache(
+        config_.policy, config_.cache_capacity,
+        cache::presize_hint(config_.cache_capacity,
+                            config_.mean_object_size_hint));
+  }
+  return *slot;
+}
+
+/// The serve plan's cache access (serve.h) over one variant's caches.
+struct Simulator::LocalCaches {
+  static constexpr bool kPeekBoth = true;  // a local peek is free
+  Simulator& sim;
+  VariantState& vs;
+
+  bool touch(SatId sat, cache::ObjectId id) {
+    return sim.cache_at(vs, sat).touch(id);
+  }
+  bool peek(SatId sat, cache::ObjectId id) const {
+    const auto& slot = vs.caches[util::as_index(sat)];
+    return slot && slot->peek(id);
+  }
+  void admit(SatId sat, cache::ObjectId id, util::Bytes size) {
+    sim.cache_at(vs, sat).admit(id, size);
+  }
+};
+
 void Simulator::note_sat(VariantState& vs, SatId sat,
                          const trace::Request& r, bool hit) {
   if (!config_.track_per_satellite) return;
@@ -191,18 +194,22 @@ void Simulator::build_context(const trace::RequestBlock& block,
                               std::uint64_t counter_base, bool need_static,
                               std::vector<RequestContext>& ctx) {
   const obs::TraceSpan stage1_span(obs::tracer(), "stage1_context", "core");
-  contact_.check(block);
+  time_order_.check(block);
+  const auto users_per_city =
+      static_cast<std::uint64_t>(schedule_->params().users_per_city);
   ctx.resize(block.count());
   util::parallel_for(block.count(), [&](std::size_t i) {
     RequestContext& c = ctx[i];
     const CityId city{block.location[i]};
-    c.contact = contact_.at(block.timestamp_s[i], city, counter_base + i);
-    const Contact& now = c.contact;
+    const Contact now = contact(*schedule_, users_per_city,
+                                block.timestamp_s[i], city, counter_base + i);
+    c.epoch = now.epoch;
+    c.fc = now.fc;
     c.handover = false;
-    if (now.epoch.value() > 0 && now.fc.sat.value() >= 0) {
+    if (c.epoch.value() > 0 && c.fc.sat.value() >= 0) {
       const sched::Candidate prev = schedule_->first_contact(
-          EpochIdx{now.epoch.value() - 1}, city, now.user);
-      c.handover = prev.sat.value() != now.fc.sat.value();
+          EpochIdx{c.epoch.value() - 1}, city, now.user);
+      c.handover = prev.sat.value() != c.fc.sat.value();
     }
     if (need_static) {
       c.fc_static = schedule_->first_contact(EpochIdx{0}, city, now.user);
@@ -222,8 +229,7 @@ void Simulator::replay_variant(VariantState& vs,
   const bool record_series = vs.series.enabled();
   for (std::size_t i = 0; i < block.count(); ++i) {
     ++vs.request_counter;
-    const Contact& now = ctx[i].contact;
-    const std::uint64_t real = now.epoch.value();
+    const std::uint64_t real = ctx[i].epoch.value();
     if (record_series) vs.series.advance_to(real, vs.shard);
     if (tr != nullptr && real != marked_epoch) {
       marked_epoch = real;
@@ -232,9 +238,9 @@ void Simulator::replay_variant(VariantState& vs,
     // Handover accounting rides on the shared stage-1 context; kStatic
     // freezes the mapping, so it never hands over by construction.
     if (!is_static && ctx[i].handover) vs.shard.add(ids_.handovers);
-    const EpochIdx sched_epoch = is_static ? EpochIdx{0} : now.epoch;
-    process(vs, block.at(i), sched_epoch, now.epoch,
-            is_static ? ctx[i].fc_static : now.fc);
+    const EpochIdx sched_epoch = is_static ? EpochIdx{0} : ctx[i].epoch;
+    process(vs, block.at(i), sched_epoch, ctx[i].epoch,
+            is_static ? ctx[i].fc_static : ctx[i].fc);
   }
 }
 
@@ -362,7 +368,7 @@ void Simulator::maybe_prefetch(VariantState& vs, SatId serving,
   if (west.value() < 0) return;
   auto& replica_slot = vs.caches[util::as_index(west)];
   if (!replica_slot) return;  // neighbour has served nothing yet
-  cache::Cache& own = LocalCaches{vs.caches, config_}.at(serving);
+  cache::Cache& own = cache_at(vs, serving);
   for (const auto& [id, size] :
        replica_slot->hottest(
            static_cast<std::size_t>(config_.prefetch_objects_per_epoch))) {
@@ -394,37 +400,37 @@ void Simulator::process(VariantState& vs, const trace::Request& r,
   }
 
   const util::Millis gsl{fc.gsl_one_way_ms};
-  const Route to = route(mapper_, vs.plan, fc.sat, r.object);
-  const SatId serving = to.serving;
+  const bool hashed = vs.variant == Variant::kHashOnly ||
+                      vs.variant == Variant::kStarCdn ||
+                      vs.variant == Variant::kPrefetch;
+  SatId serving = fc.sat;
   util::Millis route_ms{0.0};  // read only by the latency samples
-  if (config_.sample_latency && serving != fc.sat) {
-    const BucketMapper::Hops hops = mapper_.hops_of(fc.sat, to.bucket);
-    route_ms = latency_.grid_hops_delay(hops.inter, hops.intra);
+  if (hashed) {
+    const util::BucketId bucket = mapper_.bucket_of_object(r.object);
+    serving = route(mapper_, fc.sat, bucket);
+    if (config_.sample_latency) {
+      const BucketMapper::Hops hops = mapper_.hops_of(fc.sat, bucket);
+      route_ms = latency_.grid_hops_delay(hops.inter, hops.intra);
+    }
   }
 
-  // Transient cache-server outage (§3.4): report a miss and go to ground;
-  // nothing is cached and no remapping happens.
+  // A transient cache-server outage (§3.4) goes to the ground: nothing is
+  // cached and no remapping happens.
+  Fetch f;
   if (vs.transient.down(serving, util::Seconds{r.timestamp_s})) {
     sh.add(ids_.transient_misses);
-    sh.add(ids_.misses);
-    sh.add(ids_.uplink_bytes, r.size);
-    vs.uplink_meter.add(serving, real_epoch, r.size);
-    if (config_.sample_latency) {
-      vs.latency_ms.add(
-          latency_.miss(gsl, route_ms, latency_.params().default_gsl, vs.rng)
-              .value());
+  } else {
+    if (vs.variant == Variant::kPrefetch) {
+      maybe_prefetch(vs, serving, sched_epoch);
     }
-    return;
+    LocalCaches caches{*this, vs};
+    f = fetch(mapper_, vs.variant, config_.relay_east, serving, r.object,
+              r.size, caches);
+    note_sat(vs, serving, r, f.source == Fetch::Source::kOwner);
   }
 
-  if (vs.variant == Variant::kPrefetch) {
-    maybe_prefetch(vs, serving, sched_epoch);
-  }
-  LocalCaches caches{vs.caches, config_};
-  const Fetch f = fetch(mapper_, vs.plan, serving, r.object, r.size, caches);
-  note_sat(vs, serving, r, f.source == Fetch::Source::kOwner);
-
-  // Table 3 accounting: what the relay partners held when the owner missed.
+  // Table 3 accounting: what was available among the neighbours when the
+  // owner missed.
   if (f.west_has && f.east_has) {
     sh.add(ids_.relay_both_requests);
     sh.add(ids_.relay_both_bytes, r.size);
@@ -436,49 +442,40 @@ void Simulator::process(VariantState& vs, const trace::Request& r,
     sh.add(ids_.relay_east_only_bytes, r.size);
   }
 
-  switch (f.source) {
-    case Fetch::Source::kOwner:
-      sh.add(ids_.bytes_hit, r.size);
-      if (serving == fc.sat) {
-        sh.add(ids_.local_hits);
-      } else {
-        sh.add(ids_.routed_hits);
-        sh.add(ids_.isl_bytes, r.size);
-      }
-      if (config_.sample_latency) {
-        vs.latency_ms.add(route_ms.value() > 0.0
-                              ? latency_.hit_routed(gsl, route_ms).value()
-                              : latency_.hit_local(gsl).value());
-      }
-      return;
-    case Fetch::Source::kWest:
-    case Fetch::Source::kEast:
-      sh.add(f.source == Fetch::Source::kWest ? ids_.relay_west_hits
-                                              : ids_.relay_east_hits);
-      sh.add(ids_.bytes_hit, r.size);
+  if (f.source == Fetch::Source::kOwner) {
+    sh.add(ids_.bytes_hit, r.size);
+    if (serving == fc.sat) {
+      sh.add(ids_.local_hits);
+    } else {
+      sh.add(ids_.routed_hits);
       sh.add(ids_.isl_bytes, r.size);
-      if (config_.sample_latency) {
-        const int relay_hops =
-            vs.plan.relay == ServePlan::Relay::kSameBucket
-                ? mapper_.tile_side()
-                : 1;
-        const util::Millis relay = static_cast<double>(relay_hops) *
-                                   latency_.params().inter_orbit_hop;
-        vs.latency_ms.add(
-            latency_.hit_relayed(gsl, route_ms, relay).value());
-      }
-      return;
-    case Fetch::Source::kGround:
-      sh.add(ids_.misses);
-      sh.add(ids_.uplink_bytes, r.size);
-      vs.uplink_meter.add(serving, real_epoch, r.size);
-      if (config_.sample_latency) {
-        vs.latency_ms.add(latency_
-                              .miss(gsl, route_ms,
-                                    latency_.params().default_gsl, vs.rng)
-                              .value());
-      }
-      return;
+    }
+    if (config_.sample_latency) {
+      vs.latency_ms.add(route_ms.value() > 0.0
+                            ? latency_.hit_routed(gsl, route_ms).value()
+                            : latency_.hit_local(gsl).value());
+    }
+  } else if (f.source != Fetch::Source::kGround) {  // relayed fetch
+    sh.add(f.source == Fetch::Source::kWest ? ids_.relay_west_hits
+                                            : ids_.relay_east_hits);
+    sh.add(ids_.bytes_hit, r.size);
+    sh.add(ids_.isl_bytes, r.size);
+    if (config_.sample_latency) {
+      const int relay_hops =
+          vs.variant == Variant::kStarCdn ? mapper_.tile_side() : 1;
+      const util::Millis relay =
+          static_cast<double>(relay_hops) * latency_.params().inter_orbit_hop;
+      vs.latency_ms.add(latency_.hit_relayed(gsl, route_ms, relay).value());
+    }
+  } else {  // from the ground (uplink spend)
+    sh.add(ids_.misses);
+    sh.add(ids_.uplink_bytes, r.size);
+    vs.uplink_meter.add(serving, real_epoch, r.size);
+    if (config_.sample_latency) {
+      vs.latency_ms.add(
+          latency_.miss(gsl, route_ms, latency_.params().default_gsl, vs.rng)
+              .value());
+    }
   }
 }
 

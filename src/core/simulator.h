@@ -33,7 +33,6 @@
 #include "core/failure.h"
 #include "core/metrics.h"
 #include "core/run_report.h"
-#include "core/serve.h"
 #include "core/variant.h"
 #include "net/bandwidth.h"
 #include "net/latency_model.h"
@@ -228,7 +227,6 @@ class Simulator {
   /// thread count and which other variants are registered.
   struct VariantState {
     Variant variant;
-    ServePlan plan;
     obs::Shard shard;         // every scalar counter of the run
     obs::EpochSeries series;  // per-epoch snapshots of the shard
     util::QuantileSampler latency_ms{kDefaultLatencyReservoir};
@@ -247,20 +245,21 @@ class Simulator {
   };
 
   /// Shared per-request context, hoisted out of the variant loop (stage 1):
-  /// the serve plan's contact step (once per request, and once at the
-  /// frozen epoch 0 when a kStatic variant is registered, instead of once
-  /// per variant), and whether the scheduler's reshuffle handed this user
-  /// to a different satellite than the previous epoch.
+  /// the scheduler epoch, the first-contact lookup (once per request, and
+  /// once at the frozen epoch 0 when a kStatic variant is registered,
+  /// instead of once per variant), and whether the scheduler's reshuffle
+  /// handed this user to a different satellite than the previous epoch.
   struct RequestContext {
-    Contact contact;
+    util::EpochIdx epoch{0};
     bool handover = false;       // first contact differs from epoch - 1's
+    sched::Candidate fc;         // first contact at the real epoch
     sched::Candidate fc_static;  // first contact at the frozen epoch 0
   };
 
   /// Stage-1 fan-out over one chunk: each slot is a pure function of the
   /// request index, seeded by `counter_base` (the shared request-counter
-  /// position at the chunk's first request). Checks the chunk's timestamps
-  /// first (contact_).
+  /// position at the chunk's first request). Checks the chunk's time order
+  /// first (time_order_).
   void build_context(const trace::RequestBlock& block,
                      std::uint64_t counter_base, bool need_static,
                      std::vector<RequestContext>& ctx);
@@ -277,6 +276,8 @@ class Simulator {
                const sched::Candidate& fc);
   void maybe_prefetch(VariantState& vs, util::SatId serving,
                       util::EpochIdx epoch);
+  cache::Cache& cache_at(VariantState& vs, util::SatId sat);
+  struct LocalCaches;  // the serve plan's cache access
   void note_sat(VariantState& vs, util::SatId sat, const trace::Request& r,
                 bool hit);
 
@@ -290,7 +291,7 @@ class Simulator {
   std::vector<VariantState> variants_;
   std::vector<MetricsSink*> sinks_;
   // Only build_context touches it, and only one build runs at a time.
-  ContactStep contact_;
+  trace::TimeOrderCheck time_order_;
 };
 
 }  // namespace starcdn::core

@@ -37,21 +37,17 @@ void worker_loop(std::uint32_t node_id, Channel& channel,
     reply.size_bytes = msg->size_bytes;
     reply.request_id = msg->request_id;
     switch (msg->type) {
-      case MessageType::kRequest:
-        // The plan's touch: a hit refreshes the entry; a miss admits
-        // nothing.
+      case MessageType::kRequest:  // touch: a hit refreshes the entry
         reply.type = MessageType::kResponse;
         if (cache->touch(msg->object_id)) reply.flags |= net::kFlagHit;
         channel.send(reply);
         break;
-      case MessageType::kRelayProbe:
-        // The plan's peek: side-effect free.
+      case MessageType::kRelayProbe:  // peek: no side effect
         reply.type = MessageType::kRelayReply;
         if (cache->peek(msg->object_id)) reply.flags |= net::kFlagHit;
         channel.send(reply);
         break;
-      case MessageType::kGroundReply:
-        // The plan's admit; no reply.
+      case MessageType::kGroundReply:  // admit (a fill); no reply
         cache->admit(msg->object_id, msg->size_bytes);
         break;
       case MessageType::kControl:
@@ -121,22 +117,25 @@ Cluster spawn_cluster(int n_nodes, const ReplayConfig& config) {
   return cluster;
 }
 
-/// The serve plan's cache access as messages to the satellite workers:
-/// touch and peek are blocking RPCs, admit a one-way fill directive.
+/// The serve plan's cache access (core/serve.h) as messages to the
+/// satellite workers: touch and peek are blocking RPCs, admit is one-way.
 struct ClusterCaches {
+  static constexpr bool kPeekBoth = false;  // no Table 3 split to report
   Cluster& cluster;
   std::uint64_t rpc_id = 0;
 
-  Channel& channel(util::SatId sat) {
-    return *cluster.channels[util::as_index(sat)];
-  }
-  bool rpc(MessageType type, util::SatId sat, cache::ObjectId id) {
+  /// Sends `type` about `id` to `sat`'s worker; returns the matching
+  /// reply's hit flag, or false at once for a one-way fill.
+  bool send(MessageType type, util::SatId sat, cache::ObjectId id,
+            util::Bytes size = 0) {
     Message m;
     m.type = type;
     m.object_id = id;
+    m.size_bytes = size;
     m.request_id = ++rpc_id;
-    Channel& ch = channel(sat);
+    Channel& ch = *cluster.channels[util::as_index(sat)];
     ch.send(m);
+    if (type == MessageType::kGroundReply) return false;
     for (;;) {
       auto reply = ch.recv();
       if (!reply) throw std::runtime_error("replay: worker died mid-RPC");
@@ -146,17 +145,13 @@ struct ClusterCaches {
     }
   }
   bool touch(util::SatId sat, cache::ObjectId id) {
-    return rpc(MessageType::kRequest, sat, id);
+    return send(MessageType::kRequest, sat, id);
   }
   bool peek(util::SatId sat, cache::ObjectId id) {
-    return rpc(MessageType::kRelayProbe, sat, id);
+    return send(MessageType::kRelayProbe, sat, id);
   }
   void admit(util::SatId sat, cache::ObjectId id, util::Bytes size) {
-    Message fill;
-    fill.type = MessageType::kGroundReply;
-    fill.object_id = id;
-    fill.size_bytes = size;
-    channel(sat).send(fill);
+    send(MessageType::kGroundReply, sat, id, size);
   }
 };
 
@@ -176,27 +171,28 @@ ReplayReport replay_cluster(const orbit::Constellation& constellation,
     return spawn_cluster(constellation.size(), config);
   }();
 
-  const core::ServePlan plan =
-      core::ServePlan::of(core::Variant::kStarCdn, config.relay_east);
-  core::ContactStep contact(schedule, config.users_per_city);
+  const auto users = static_cast<std::uint64_t>(config.users_per_city);
   ClusterCaches caches{cluster};
   ReplayReport report;
   std::uint64_t request_counter = 0;
   trace::RequestBlock block;
+  trace::TimeOrderCheck time_order(schedule.horizon().value());
   while (stream.next(block)) {
-    contact.check(block);
+    time_order.check(block);
     for (std::size_t i = 0; i < block.count(); ++i) {
       const trace::Request r = block.at(i);
       ++report.requests;
-      const core::Contact c = contact.at(
-          r.timestamp_s, util::CityId{r.location}, request_counter++);
+      const util::SatId fc = core::contact(schedule, users, r.timestamp_s,
+                                           util::CityId{r.location},
+                                           request_counter++)
+                                 .fc.sat;
       const core::Fetch f =
-          c.fc.sat.value() < 0
+          fc.value() < 0
               ? core::Fetch{}  // coverage gap: bent pipe to the ground
-              : core::fetch(mapper, plan,
-                            core::route(mapper, plan, c.fc.sat, r.object)
-                                .serving,
-                            r.object, r.size, caches);
+              : core::fetch(
+                    mapper, core::Variant::kStarCdn, config.relay_east,
+                    core::route(mapper, fc, mapper.bucket_of_object(r.object)),
+                    r.object, r.size, caches);
       if (f.source == core::Fetch::Source::kGround) {
         ++report.misses;
         report.uplink_bytes += r.size;

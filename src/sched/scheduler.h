@@ -47,6 +47,10 @@ class LinkSchedule {
   [[nodiscard]] util::Seconds epoch_duration() const noexcept {
     return params_.epoch;
   }
+  /// epochs() * epoch_duration(); epoch_of clamps a later time.
+  [[nodiscard]] util::Seconds horizon() const noexcept {
+    return static_cast<double>(epochs_) * params_.epoch;
+  }
   [[nodiscard]] const SchedulerParams& params() const noexcept {
     return params_;
   }

@@ -107,15 +107,13 @@ void TimeOrderCheck::check(const RequestBlock& block) {
     }
     last_ = ts;
   }
-  if (!block.empty() && last_ >= horizon_) {
-    const auto past = std::lower_bound(block.timestamp_s.begin(),
-                                       block.timestamp_s.end(), horizon_);
-    const auto at = checked_ + static_cast<std::uint64_t>(
-                                   past - block.timestamp_s.begin());
-    throw std::invalid_argument("request " + std::to_string(at) +
-                                ": timestamp " + std::to_string(*past) +
-                                " s is at or past the horizon " +
-                                std::to_string(horizon_) + " s");
+  if (last_ >= horizon_) {  // the block is in order: find the first past
+    const auto& ts = block.timestamp_s;
+    throw std::invalid_argument(
+        "request " + std::to_string(checked_ + static_cast<std::size_t>(
+            std::lower_bound(ts.begin(), ts.end(), horizon_) - ts.begin())) +
+        ": timestamp at or past the horizon " + std::to_string(horizon_) +
+        " s");
   }
   checked_ += block.count();
 }

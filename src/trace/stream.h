@@ -145,14 +145,13 @@ class MultiTraceStream final : public RequestStream {
 /// non-decreasing numbers below `horizon_s`, across block boundaries too.
 /// One compare per request — `ts >= previous`, the first request compared
 /// with 0 — fails on a NaN, on a negative timestamp and on a step back in
-/// time; since the block is then in order, one compare of its last
-/// timestamp against the horizon covers the rest.
+/// time; the block's last timestamp alone is compared with the horizon.
 class TimeOrderCheck {
  public:
   explicit TimeOrderCheck(double horizon_s) noexcept : horizon_(horizon_s) {}
 
   /// Throws std::invalid_argument naming the offending request's position
-  /// (counted over every block checked so far) and its timestamp.
+  /// (counted over every block checked so far).
   void check(const RequestBlock& block);
 
  private:

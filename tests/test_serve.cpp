@@ -103,28 +103,10 @@ TEST_F(ServeParity, Capacity512MiB) { expect_parity(util::mib(512)); }
 
 TEST_F(ServeParity, Capacity8GiB) { expect_parity(util::gib(8)); }
 
-TEST(ServePlan, VariantsMapToTheirSteps) {
-  using core::ServePlan;
-  using core::Variant;
-  EXPECT_EQ(ServePlan::of(Variant::kStarCdn, true).relay,
-            ServePlan::Relay::kSameBucket);
-  EXPECT_TRUE(ServePlan::of(Variant::kStarCdn, true).hashed);
-  EXPECT_EQ(ServePlan::of(Variant::kRelayOnly, true).relay,
-            ServePlan::Relay::kAdjacent);
-  EXPECT_FALSE(ServePlan::of(Variant::kRelayOnly, true).hashed);
-  for (const Variant v : {Variant::kHashOnly, Variant::kPrefetch}) {
-    EXPECT_TRUE(ServePlan::of(v, true).hashed);
-    EXPECT_EQ(ServePlan::of(v, true).relay, ServePlan::Relay::kNone);
-  }
-  for (const Variant v : {Variant::kStatic, Variant::kVanillaLru}) {
-    EXPECT_FALSE(ServePlan::of(v, true).hashed);
-    EXPECT_EQ(ServePlan::of(v, true).relay, ServePlan::Relay::kNone);
-  }
-  EXPECT_FALSE(ServePlan::of(Variant::kStarCdn, false).relay_east);
-}
-
 /// Cache access that logs each call and holds `object` at `holders`.
+template <bool PeekBoth>
 struct LoggedCaches {
+  static constexpr bool kPeekBoth = PeekBoth;
   std::vector<util::SatId> holders;
   std::vector<std::string> log;
 
@@ -147,41 +129,97 @@ struct LoggedCaches {
   }
 };
 
+std::string call(const char* op, util::SatId sat) {
+  return std::string(op) + " " + std::to_string(sat.value());
+}
+
+using Log = std::vector<std::string>;
+
 TEST(ServePlan, RelayHitRefreshesTheServingReplicaThenFillsTheOwner) {
   const orbit::Constellation shell{orbit::WalkerParams{}};
   const core::BucketMapper mapper(shell, 4);
-  const auto plan = core::ServePlan::of(core::Variant::kStarCdn, true);
+  const auto star = core::Variant::kStarCdn;
   const util::SatId owner{0};
   const util::SatId west = mapper.west_of(owner);
   const util::SatId east = mapper.east_of(owner);
-  const auto name = [](const char* op, util::SatId sat) {
-    return std::string(op) + " " + std::to_string(sat.value());
-  };
 
-  LoggedCaches both{{west, east}, {}};
-  core::Fetch f = core::fetch(mapper, plan, owner, 7, 100, both);
+  LoggedCaches<true> both{{west, east}, {}};
+  core::Fetch f = core::fetch(mapper, star, true, owner, 7, 100, both);
   EXPECT_EQ(f.source, core::Fetch::Source::kWest);
   EXPECT_TRUE(f.west_has && f.east_has);
-  EXPECT_EQ(both.log,
-            (std::vector<std::string>{name("touch", owner), name("peek", west),
-                                      name("peek", east), name("touch", west),
-                                      name("admit", owner)}));
+  EXPECT_EQ(both.log, (Log{call("touch", owner), call("peek", west),
+                           call("peek", east), call("touch", west),
+                           call("admit", owner)}));
 
-  LoggedCaches east_only{{east}, {}};
-  f = core::fetch(mapper, plan, owner, 7, 100, east_only);
+  LoggedCaches<true> east_only{{east}, {}};
+  f = core::fetch(mapper, star, true, owner, 7, 100, east_only);
   EXPECT_EQ(f.source, core::Fetch::Source::kEast);
-  EXPECT_EQ(east_only.log.at(3), name("touch", east));
+  EXPECT_EQ(east_only.log.at(3), call("touch", east));
 
-  LoggedCaches at_owner{{owner}, {}};
-  f = core::fetch(mapper, plan, owner, 7, 100, at_owner);
+  LoggedCaches<true> at_owner{{owner}, {}};
+  f = core::fetch(mapper, star, true, owner, 7, 100, at_owner);
   EXPECT_EQ(f.source, core::Fetch::Source::kOwner);
-  EXPECT_EQ(at_owner.log, std::vector<std::string>{name("touch", owner)});
+  EXPECT_EQ(at_owner.log, Log{call("touch", owner)});
 
-  LoggedCaches nowhere{{}, {}};
-  f = core::fetch(mapper, plan, owner, 7, 100, nowhere);
+  LoggedCaches<true> nowhere{{}, {}};
+  f = core::fetch(mapper, star, true, owner, 7, 100, nowhere);
   EXPECT_EQ(f.source, core::Fetch::Source::kGround);
   EXPECT_FALSE(f.west_has || f.east_has);
-  EXPECT_EQ(nowhere.log.back(), name("admit", owner));
+  EXPECT_EQ(nowhere.log.back(), call("admit", owner));
+}
+
+TEST(ServePlan, WestHitSkipsTheEastProbeUnlessPeekBoth) {
+  const orbit::Constellation shell{orbit::WalkerParams{}};
+  const core::BucketMapper mapper(shell, 4);
+  const auto star = core::Variant::kStarCdn;
+  const util::SatId owner{0};
+  const util::SatId west = mapper.west_of(owner);
+  const util::SatId east = mapper.east_of(owner);
+
+  LoggedCaches<false> both{{west, east}, {}};
+  core::Fetch f = core::fetch(mapper, star, true, owner, 7, 100, both);
+  EXPECT_EQ(f.source, core::Fetch::Source::kWest);
+  EXPECT_TRUE(f.west_has);
+  EXPECT_FALSE(f.east_has);  // not probed
+  EXPECT_EQ(both.log, (Log{call("touch", owner), call("peek", west),
+                           call("touch", west), call("admit", owner)}));
+
+  LoggedCaches<false> east_only{{east}, {}};
+  f = core::fetch(mapper, star, true, owner, 7, 100, east_only);
+  EXPECT_EQ(f.source, core::Fetch::Source::kEast);
+  EXPECT_EQ(east_only.log, (Log{call("touch", owner), call("peek", west),
+                                call("peek", east), call("touch", east),
+                                call("admit", owner)}));
+}
+
+TEST(ServePlan, VariantsProbeTheirRelayPartners) {
+  const orbit::Constellation shell{orbit::WalkerParams{}};
+  const core::BucketMapper mapper(shell, 4);
+  const util::SatId owner{0};
+
+  // Without hashing, the relay partners are the adjacent planes.
+  LoggedCaches<true> adjacent{{}, {}};
+  (void)core::fetch(mapper, core::Variant::kRelayOnly, true, owner, 7, 100,
+                    adjacent);
+  EXPECT_EQ(adjacent.log,
+            (Log{call("touch", owner), call("peek", mapper.west_adjacent(owner)),
+                 call("peek", mapper.east_adjacent(owner)),
+                 call("admit", owner)}));
+
+  LoggedCaches<true> west_only{{}, {}};
+  (void)core::fetch(mapper, core::Variant::kStarCdn, false, owner, 7, 100,
+                    west_only);
+  EXPECT_EQ(west_only.log,
+            (Log{call("touch", owner), call("peek", mapper.west_of(owner)),
+                 call("admit", owner)}));
+
+  for (const core::Variant v :
+       {core::Variant::kStatic, core::Variant::kVanillaLru,
+        core::Variant::kHashOnly, core::Variant::kPrefetch}) {
+    LoggedCaches<true> none{{}, {}};
+    (void)core::fetch(mapper, v, true, owner, 7, 100, none);
+    EXPECT_EQ(none.log, (Log{call("touch", owner), call("admit", owner)}));
+  }
 }
 
 }  // namespace
