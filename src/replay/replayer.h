@@ -3,10 +3,10 @@
 // the paper's per-satellite processes over TCP do. The orchestrator runs
 // the Simulator's kStarCdn serve plan (core/serve.h) with messages: touch
 // is a kRequest RPC (owner, and the replica serving a relay hit), peek a
-// kRelayProbe RPC, admit a one-way kGroundReply. It does not model
-// transient outages, kPrefetch, handovers or kStatic. The in-process and
-// TCP transports give identical counters, equal to the Simulator's
-// (ServeParity tests).
+// kRelayProbe RPC (east only after a west miss), admit a one-way
+// kGroundReply. It does not model transient outages, kPrefetch, handovers
+// or kStatic. The in-process and TCP transports give identical counters,
+// equal to the Simulator's (ServeParity tests).
 #pragma once
 
 #include <cstdint>
