@@ -38,11 +38,6 @@ class TransientFailureModel {
     return static_cast<double>(h >> 11) * 0x1.0p-53 < p_;
   }
 
-  /// Expected fraction of satellite-time down (== down_probability).
-  [[nodiscard]] double expected_downtime_fraction() const noexcept {
-    return p_;
-  }
-
  private:
   double p_;
   double window_s_;

@@ -3,7 +3,10 @@
 // relayed fetch (§3.3). DESIGN.md §5.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
+#include <vector>
 
 #include "cache/cache.h"
 #include "core/bucket_mapper.h"
@@ -44,6 +47,64 @@ struct Contact {
   return owner.value() >= 0 ? owner : fc;
 }
 
+/// The replicas a miss at `sat` probes (§3.3): the same-bucket ones for
+/// kStarCdn, the adjacent planes for kRelayOnly, none for the other
+/// variants; util::kNoSat where there is none or when `relay_east` is off.
+struct RelayPartners {
+  util::SatId west = util::kNoSat;
+  util::SatId east = util::kNoSat;
+};
+
+[[nodiscard]] inline RelayPartners relay_partners(const BucketMapper& mapper,
+                                                  Variant v, bool relay_east,
+                                                  util::SatId sat) noexcept {
+  if (v == Variant::kStarCdn) {
+    return {mapper.west_of(sat),
+            relay_east ? mapper.east_of(sat) : util::kNoSat};
+  }
+  if (v == Variant::kRelayOnly) {
+    return {mapper.west_adjacent(sat),
+            relay_east ? mapper.east_adjacent(sat) : util::kNoSat};
+  }
+  return {};
+}
+
+/// Cache-disjoint groups of `v`'s `satellites` caches: a serve at `sat`
+/// touches `sat`, its relay partners and, for kPrefetch, the west replica
+/// it prefetches from, so a union over those links leaves groups that no
+/// request crosses. Returns each satellite's group, numbered densely in
+/// order of the group's lowest satellite. DESIGN.md §6.
+[[nodiscard]] inline std::vector<std::uint32_t> cache_groups(
+    const BucketMapper& mapper, int satellites, Variant v, bool relay_east) {
+  const auto n = static_cast<std::size_t>(satellites);
+  std::vector<std::uint32_t> root(n);
+  std::iota(root.begin(), root.end(), 0U);
+  const auto find = [&root](std::uint32_t x) {
+    while (root[x] != x) x = root[x] = root[root[x]];
+    return x;
+  };
+  const auto link = [&](std::uint32_t a, util::SatId b) {
+    if (b.value() < 0) return;
+    const std::uint32_t ra = find(a);
+    const std::uint32_t rb = find(static_cast<std::uint32_t>(b.value()));
+    root[std::max(ra, rb)] = std::min(ra, rb);  // a root is its set's minimum
+  };
+  for (std::uint32_t s = 0; s < n; ++s) {
+    const util::SatId sat{static_cast<std::int32_t>(s)};
+    const RelayPartners p = relay_partners(mapper, v, relay_east, sat);
+    link(s, p.west);
+    link(s, p.east);
+    if (v == Variant::kPrefetch) link(s, mapper.west_of(sat));
+  }
+  std::vector<std::uint32_t> group(n);
+  std::uint32_t groups = 0;
+  for (std::uint32_t s = 0; s < n; ++s) {
+    const std::uint32_t r = find(s);
+    group[s] = r == s ? groups++ : group[r];
+  }
+  return group;
+}
+
 struct Fetch {
   enum class Source : std::uint8_t { kOwner, kWest, kEast, kGround };
   Source source = Source::kGround;
@@ -67,21 +128,13 @@ template <class Caches>
     f.source = Fetch::Source::kOwner;
     return f;
   }
-  if (v == Variant::kStarCdn || v == Variant::kRelayOnly) {
-    // Same-bucket replicas when hashed, else the adjacent planes.
-    const bool star = v == Variant::kStarCdn;
-    const util::SatId west =
-        star ? mapper.west_of(owner) : mapper.west_adjacent(owner);
-    const util::SatId east = !relay_east ? util::kNoSat
-                             : star      ? mapper.east_of(owner)
-                                         : mapper.east_adjacent(owner);
-    f.west_has = west.value() >= 0 && caches.peek(west, object);
-    f.east_has = (Caches::kPeekBoth || !f.west_has) && east.value() >= 0 &&
-                 caches.peek(east, object);
-    if (f.west_has || f.east_has) {
-      f.source = f.west_has ? Fetch::Source::kWest : Fetch::Source::kEast;
-      (void)caches.touch(f.west_has ? west : east, object);
-    }
+  const RelayPartners p = relay_partners(mapper, v, relay_east, owner);
+  f.west_has = p.west.value() >= 0 && caches.peek(p.west, object);
+  f.east_has = (Caches::kPeekBoth || !f.west_has) && p.east.value() >= 0 &&
+               caches.peek(p.east, object);
+  if (f.west_has || f.east_has) {
+    f.source = f.west_has ? Fetch::Source::kWest : Fetch::Source::kEast;
+    (void)caches.touch(f.west_has ? p.west : p.east, object);
   }
   caches.admit(owner, object, size);  // backflow or ground fill
   return f;

@@ -1,5 +1,8 @@
 #include "core/simulator.h"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -137,6 +140,9 @@ void Simulator::add_variant(Variant v) {
     vs.prefetch_epoch.assign(static_cast<std::size_t>(constellation_->size()),
                              ~0u);
   }
+  vs.group = cache_groups(mapper_, constellation_->size(), v,
+                          config_.relay_east);
+  for (const std::uint32_t g : vs.group) vs.groups = std::max(vs.groups, g + 1);
   if (config_.track_per_satellite) {
     const auto n = static_cast<std::size_t>(constellation_->size());
     vs.sat_requests.assign(n, 0);
@@ -206,10 +212,17 @@ void Simulator::build_context(const trace::RequestBlock& block,
     c.epoch = now.epoch;
     c.fc = now.fc;
     c.handover = false;
-    if (c.epoch.value() > 0 && c.fc.sat.value() >= 0) {
-      const sched::Candidate prev = schedule_->first_contact(
-          EpochIdx{c.epoch.value() - 1}, city, now.user);
-      c.handover = prev.sat.value() != c.fc.sat.value();
+    c.owner = util::kNoSat;
+    c.hops = {0, 0};
+    if (c.fc.sat.value() >= 0) {
+      const util::BucketId bucket = mapper_.bucket_of_object(block.object[i]);
+      c.owner = route(mapper_, c.fc.sat, bucket);
+      c.hops = mapper_.hops_of(c.fc.sat, bucket);
+      if (c.epoch.value() > 0) {
+        const sched::Candidate prev = schedule_->first_contact(
+            EpochIdx{c.epoch.value() - 1}, city, now.user);
+        c.handover = prev.sat.value() != c.fc.sat.value();
+      }
     }
     if (need_static) {
       c.fc_static = schedule_->first_contact(EpochIdx{0}, city, now.user);
@@ -217,19 +230,140 @@ void Simulator::build_context(const trace::RequestBlock& block,
   });
 }
 
-void Simulator::replay_variant(VariantState& vs,
-                               const trace::RequestBlock& block,
-                               const std::vector<RequestContext>& ctx,
-                               bool trace_epochs,
-                               std::uint64_t& marked_epoch) {
+namespace {
+
+bool hashed(Variant v) noexcept {
+  return v == Variant::kHashOnly || v == Variant::kStarCdn ||
+         v == Variant::kPrefetch;
+}
+
+/// The satellite whose cache serves a request under `v`; negative in a
+/// coverage gap.
+template <class Context>
+SatId serving_of(Variant v, const Context& c) noexcept {
+  if (v == Variant::kStatic) return c.fc_static.sat;
+  return hashed(v) ? c.owner : c.fc.sat;
+}
+
+// One byte per request from the cache step to the accounting: the Fetch,
+// or a transient outage of the serving cache.
+constexpr std::uint8_t kWestHas = 1U << 2;
+constexpr std::uint8_t kEastHas = 1U << 3;
+constexpr std::uint8_t kTransient = 1U << 4;
+
+std::uint8_t pack(const Fetch& f) noexcept {
+  return static_cast<std::uint8_t>(
+      static_cast<std::uint8_t>(f.source) | (f.west_has ? kWestHas : 0U) |
+      (f.east_has ? kEastHas : 0U));
+}
+
+Fetch unpack(std::uint8_t outcome) noexcept {
+  Fetch f;
+  f.source = static_cast<Fetch::Source>(outcome & 3U);
+  f.west_has = (outcome & kWestHas) != 0;
+  f.east_has = (outcome & kEastHas) != 0;
+  return f;
+}
+
+}  // namespace
+
+void Simulator::plan(const VariantState& vs,
+                     const std::vector<RequestContext>& ctx, std::size_t slots,
+                     Lane& lane) const {
+  lane.outcome.resize(ctx.size());
+  if (vs.variant == Variant::kPrefetch) lane.prefetched.resize(ctx.size());
+  // Requests per group; a request in a coverage gap touches no cache and
+  // joins no slot.
+  std::vector<std::uint32_t> load(vs.groups, 0);
+  std::uint64_t total = 0;
+  for (const RequestContext& c : ctx) {
+    const SatId s = serving_of(vs.variant, c);
+    if (s.value() < 0) continue;
+    ++load[vs.group[util::as_index(s)]];
+    ++total;
+  }
+  // Groups in id order fill the slots by cumulative load.
+  std::vector<std::uint32_t> slot_of(vs.groups);
+  lane.slot_end.assign(slots, 0);
+  std::uint64_t before = 0;
+  for (std::uint32_t g = 0; g < vs.groups; ++g) {
+    slot_of[g] = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+        slots - 1, before * slots / std::max<std::uint64_t>(total, 1)));
+    lane.slot_end[slot_of[g]] += load[g];
+    before += load[g];
+  }
+  for (std::size_t k = 1; k < slots; ++k) {
+    lane.slot_end[k] += lane.slot_end[k - 1];
+  }
+  // Stable scatter: each slot keeps its requests in trace order.
+  lane.order.resize(total);
+  std::vector<std::uint32_t> next(slots, 0);
+  for (std::size_t k = 1; k < slots; ++k) next[k] = lane.slot_end[k - 1];
+  for (std::size_t i = 0; i < ctx.size(); ++i) {
+    const SatId s = serving_of(vs.variant, ctx[i]);
+    if (s.value() < 0) continue;
+    lane.order[next[slot_of[vs.group[util::as_index(s)]]]++] =
+        static_cast<std::uint32_t>(i);
+  }
+}
+
+bool Simulator::produce(trace::RequestStream& stream,
+                        std::uint64_t counter_base, bool need_static,
+                        std::size_t slots, Chunk& chunk) {
+  const obs::TraceSpan span(obs::tracer(), "produce", "core");
+  if (!stream.next(chunk.block) || chunk.block.empty()) return false;
+  build_context(chunk.block, counter_base, need_static, chunk.ctx);
+  chunk.lanes.resize(variants_.size());
+  for (std::size_t v = 0; v < variants_.size(); ++v) {
+    plan(variants_[v], chunk.ctx, slots, chunk.lanes[v]);
+  }
+  return true;
+}
+
+void Simulator::cache_step(VariantState& vs, const Chunk& chunk, Lane& lane,
+                           std::size_t slot) {
+  const std::uint32_t begin = slot == 0 ? 0 : lane.slot_end[slot - 1];
+  const std::uint32_t end = lane.slot_end[slot];
+  if (begin == end) return;
+  const obs::TraceSpan span(
+      obs::tracer(), "cache_step", "core",
+      {obs::arg("variant", to_string(vs.variant)),
+       obs::arg("slot", static_cast<std::uint64_t>(slot)),
+       obs::arg("requests", static_cast<std::uint64_t>(end - begin))});
+  const trace::RequestBlock& block = chunk.block;
+  LocalCaches caches{*this, vs};
+  for (std::uint32_t k = begin; k < end; ++k) {
+    const std::uint32_t i = lane.order[k];
+    const RequestContext& c = chunk.ctx[i];
+    const SatId serving = serving_of(vs.variant, c);
+    // A transient cache-server outage (§3.4) goes to the ground: nothing
+    // is cached and no remapping happens.
+    if (vs.transient.down(serving, util::Seconds{block.timestamp_s[i]})) {
+      lane.outcome[i] = kTransient;
+      continue;
+    }
+    if (vs.variant == Variant::kPrefetch) {
+      lane.prefetched[i] = maybe_prefetch(vs, serving, c.epoch);
+    }
+    lane.outcome[i] =
+        pack(fetch(mapper_, vs.variant, config_.relay_east, serving,
+                   block.object[i], block.size[i], caches));
+  }
+}
+
+void Simulator::account(VariantState& vs, const Chunk& chunk,
+                        const Lane& lane, bool trace_epochs,
+                        std::uint64_t& marked_epoch) {
   const obs::TraceSpan replay_span(obs::tracer(), to_string(vs.variant),
                                    "variant");
   obs::Tracer* const tr = trace_epochs ? obs::tracer() : nullptr;
   const bool is_static = vs.variant == Variant::kStatic;
   const bool record_series = vs.series.enabled();
-  for (std::size_t i = 0; i < block.count(); ++i) {
+  const bool prefetch = vs.variant == Variant::kPrefetch;
+  for (std::size_t i = 0; i < chunk.block.count(); ++i) {
+    const RequestContext& c = chunk.ctx[i];
     ++vs.request_counter;
-    const std::uint64_t real = ctx[i].epoch.value();
+    const std::uint64_t real = c.epoch.value();
     if (record_series) vs.series.advance_to(real, vs.shard);
     if (tr != nullptr && real != marked_epoch) {
       marked_epoch = real;
@@ -237,10 +371,9 @@ void Simulator::replay_variant(VariantState& vs,
     }
     // Handover accounting rides on the shared stage-1 context; kStatic
     // freezes the mapping, so it never hands over by construction.
-    if (!is_static && ctx[i].handover) vs.shard.add(ids_.handovers);
-    const EpochIdx sched_epoch = is_static ? EpochIdx{0} : ctx[i].epoch;
-    process(vs, block.at(i), sched_epoch, ctx[i].epoch,
-            is_static ? ctx[i].fc_static : ctx[i].fc);
+    if (!is_static && c.handover) vs.shard.add(ids_.handovers);
+    process(vs, chunk.block.at(i), c, lane.outcome[i],
+            prefetch ? lane.prefetched[i] : 0);
   }
 }
 
@@ -255,53 +388,77 @@ void Simulator::run(trace::RequestStream& stream) {
     need_static = need_static || vs.variant == Variant::kStatic;
   }
 
-  // Stage 2 runs one worker per variant. Each VariantState is
-  // self-contained (caches, shard, series, RNG, transient model, counter)
-  // and replays its requests strictly in trace order, so results are
-  // bitwise identical for any thread count.
-  //
-  // Double buffer: while the variants replay block `cur`, the extra
-  // parallel_for slot pulls the next block from the stream and builds its
-  // stage-1 context. That slot is the last one, and parallel_for runs its
-  // last chunk on the calling thread, which is not a pool worker — so the
-  // nested parallel_for calls in build_context and in the stream's next()
-  // (a generator's fill) fan out across the pool, unless run() itself was
-  // called from a pool worker. The barrier at the end of each
-  // parallel_for keeps the hand-off race-free: the producer is the only
-  // writer of blocks[1 - cur]/ctxs[1 - cur], and nothing reads them until
-  // the next iteration.
-  trace::RequestBlock blocks[2];
-  std::vector<RequestContext> ctxs[2];
+  // Three chunks in flight (DESIGN.md §6). Each iteration is one
+  // parallel_for of at most parallel_threads() slots that runs together:
+  //   - the accounting of chunk `cur - 1`, one task per variant;
+  //   - the cache step of chunk `cur`, one task per (variant, slot);
+  //   - the producer of chunk `cur + 1`: next(), stage 1 and the plans.
+  // A variant's accounting and cache step touch disjoint parts of its
+  // VariantState, and no two cache-step tasks share a group, so the tasks
+  // are independent; slots pull them from a shared counter, accounting
+  // first. The producer takes the last slot, which parallel_for runs on
+  // the calling thread — not a pool worker — so the nested parallel_for
+  // calls in build_context and in the stream's next() fan out across the
+  // pool, unless run() itself was called from a pool worker. The barrier
+  // at the end of each parallel_for is the hand-off: nothing reads a chunk
+  // before the iteration after the one that wrote it.
+  const std::size_t slots =
+      static_cast<std::size_t>(std::max(1, util::parallel_threads()));
+  const std::size_t nv = variants_.size();
+  Chunk chunks[3];
   // Chunk-base bookkeeping: the rotation seed advances by block length, so
   // terminals rotate identically however the stream chops the trace.
   // Tracked locally — variant counters mutate concurrently with the
   // producer's context build.
-  std::uint64_t counter_base = variants_.front().request_counter;
-  std::vector<std::uint64_t> marked(variants_.size(), ~0ULL);
-
-  int cur = 0;
-  bool have = stream.next(blocks[cur]) && !blocks[cur].empty();
-  if (have) {
-    build_context(blocks[cur], counter_base, need_static, ctxs[cur]);
-  }
-  while (have) {
-    const std::uint64_t next_base = counter_base + blocks[cur].count();
-    bool have_next = false;
-    util::parallel_for(variants_.size() + 1, [&](std::size_t slot) {
-      if (slot == variants_.size()) {
-        have_next = stream.next(blocks[1 - cur]) && !blocks[1 - cur].empty();
-        if (have_next) {
-          build_context(blocks[1 - cur], next_base, need_static,
-                        ctxs[1 - cur]);
-        }
-        return;
-      }
-      replay_variant(variants_[slot], blocks[cur], ctxs[cur], slot == 0,
-                     marked[slot]);
+  std::uint64_t next_base = variants_.front().request_counter;
+  std::vector<std::uint64_t> marked(nv, ~0ULL);
+  const auto account_all = [&](const Chunk& chunk) {
+    util::parallel_for(nv, [&](std::size_t v) {
+      account(variants_[v], chunk, chunk.lanes[v], v == 0, marked[v]);
     });
-    counter_base = next_base;
-    have = have_next;
-    cur = 1 - cur;
+  };
+
+  std::size_t cur = 0;
+  bool have_cur = produce(stream, next_base, need_static, slots, chunks[0]);
+  bool have_prev = false;  // chunks[cur - 1] awaits its accounting
+  while (have_cur || have_prev) {
+    Chunk& now = chunks[cur];
+    Chunk& prev = chunks[(cur + 2) % 3];
+    Chunk& next = chunks[(cur + 1) % 3];
+    if (have_cur) next_base += now.block.count();
+    const std::size_t accounting = have_prev ? nv : 0;
+    const std::size_t tasks = accounting + (have_cur ? nv * slots : 0);
+    std::atomic<std::size_t> next_task{0};
+    bool have_next = false;
+    std::exception_ptr produce_error;
+    const std::size_t width = std::min(slots, tasks + (have_cur ? 1 : 0));
+    const auto lane = [&](std::size_t slot) {
+      if (have_cur && slot + 1 == width) {
+        try {
+          have_next = produce(stream, next_base, need_static, slots, next);
+        } catch (...) {
+          produce_error = std::current_exception();
+        }
+      }
+      for (std::size_t t = next_task++; t < tasks; t = next_task++) {
+        if (t < accounting) {
+          account(variants_[t], prev, prev.lanes[t], t == 0, marked[t]);
+        } else {
+          const std::size_t u = t - accounting;
+          cache_step(variants_[u % nv], now, now.lanes[u % nv], u / nv);
+        }
+      }
+    };
+    util::parallel_for(width, lane, static_cast<int>(width));
+    if (produce_error) {
+      // Chunk `cur` went through its cache step: account it, so the run
+      // stops after a whole chunk, then report the bad one.
+      account_all(now);
+      std::rethrow_exception(produce_error);
+    }
+    have_prev = have_cur;
+    have_cur = have_next;
+    cur = (cur + 1) % 3;
   }
 
   // One trailing fold per run: flushing per block would split a
@@ -353,39 +510,43 @@ RunReport Simulator::finish() {
   return report;
 }
 
-void Simulator::maybe_prefetch(VariantState& vs, SatId serving,
-                               EpochIdx epoch) {
+util::Bytes Simulator::maybe_prefetch(VariantState& vs, SatId serving,
+                                      EpochIdx epoch) {
   // The §3.3 alternative design: on entering a new scheduler epoch, a
   // satellite speculatively pulls the hottest objects of its trailing
   // ("west") same-bucket replica — the satellite that just served the
   // region this one is flying into. Prefetched bytes burn ISL bandwidth
   // and cache space whether or not they are ever requested; the ablation
-  // bench quantifies why the paper prefers miss-triggered relay.
+  // bench quantifies why the paper prefers miss-triggered relay. Returns
+  // the bytes pulled, for the accounting pass.
   auto& stamp = vs.prefetch_epoch[util::as_index(serving)];
-  if (stamp == epoch.value()) return;
+  if (stamp == epoch.value()) return 0;
   stamp = static_cast<std::uint32_t>(epoch.value());
   const SatId west = mapper_.west_of(serving);
-  if (west.value() < 0) return;
+  if (west.value() < 0) return 0;
   auto& replica_slot = vs.caches[util::as_index(west)];
-  if (!replica_slot) return;  // neighbour has served nothing yet
+  if (!replica_slot) return 0;  // neighbour has served nothing yet
   cache::Cache& own = cache_at(vs, serving);
+  util::Bytes pulled = 0;
   for (const auto& [id, size] :
        replica_slot->hottest(
            static_cast<std::size_t>(config_.prefetch_objects_per_epoch))) {
     if (own.peek(id)) continue;
     own.admit(id, size);
-    vs.shard.add(ids_.isl_bytes, size);
-    vs.shard.add(ids_.prefetch_bytes, size);
+    pulled += size;
   }
+  return pulled;
 }
 
 void Simulator::process(VariantState& vs, const trace::Request& r,
-                        EpochIdx sched_epoch, EpochIdx real_epoch,
-                        const sched::Candidate& fc) {
+                        const RequestContext& c, std::uint8_t outcome,
+                        util::Bytes prefetched) {
   obs::Shard& sh = vs.shard;
   sh.add(ids_.requests);
   sh.add(ids_.bytes_requested, r.size);
 
+  const sched::Candidate& fc =
+      vs.variant == Variant::kStatic ? c.fc_static : c.fc;
   if (fc.sat.value() < 0) {
     // Coverage gap: served bent-pipe from the ground via a remote link.
     sh.add(ids_.unreachable);
@@ -400,32 +561,21 @@ void Simulator::process(VariantState& vs, const trace::Request& r,
   }
 
   const util::Millis gsl{fc.gsl_one_way_ms};
-  const bool hashed = vs.variant == Variant::kHashOnly ||
-                      vs.variant == Variant::kStarCdn ||
-                      vs.variant == Variant::kPrefetch;
-  SatId serving = fc.sat;
+  const SatId serving = serving_of(vs.variant, c);
   util::Millis route_ms{0.0};  // read only by the latency samples
-  if (hashed) {
-    const util::BucketId bucket = mapper_.bucket_of_object(r.object);
-    serving = route(mapper_, fc.sat, bucket);
-    if (config_.sample_latency) {
-      const BucketMapper::Hops hops = mapper_.hops_of(fc.sat, bucket);
-      route_ms = latency_.grid_hops_delay(hops.inter, hops.intra);
-    }
+  if (hashed(vs.variant) && config_.sample_latency) {
+    route_ms = latency_.grid_hops_delay(c.hops.inter, c.hops.intra);
   }
 
-  // A transient cache-server outage (§3.4) goes to the ground: nothing is
-  // cached and no remapping happens.
   Fetch f;
-  if (vs.transient.down(serving, util::Seconds{r.timestamp_s})) {
+  if (outcome == kTransient) {
     sh.add(ids_.transient_misses);
   } else {
-    if (vs.variant == Variant::kPrefetch) {
-      maybe_prefetch(vs, serving, sched_epoch);
+    if (prefetched != 0) {
+      sh.add(ids_.isl_bytes, prefetched);
+      sh.add(ids_.prefetch_bytes, prefetched);
     }
-    LocalCaches caches{*this, vs};
-    f = fetch(mapper_, vs.variant, config_.relay_east, serving, r.object,
-              r.size, caches);
+    f = unpack(outcome);
     note_sat(vs, serving, r, f.source == Fetch::Source::kOwner);
   }
 
@@ -470,7 +620,7 @@ void Simulator::process(VariantState& vs, const trace::Request& r,
   } else {  // from the ground (uplink spend)
     sh.add(ids_.misses);
     sh.add(ids_.uplink_bytes, r.size);
-    vs.uplink_meter.add(serving, real_epoch, r.size);
+    vs.uplink_meter.add(serving, c.epoch, r.size);
     if (config_.sample_latency) {
       vs.latency_ms.add(
           latency_.miss(gsl, route_ms, latency_.params().default_gsl, vs.rng)

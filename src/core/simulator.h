@@ -186,14 +186,20 @@ class Simulator {
   /// A materialized trace goes through trace::VectorStream, per-location
   /// traces through trace::MultiTraceStream.
   ///
-  /// Variants replay concurrently (one worker per VariantState; see
-  /// util::parallel_for). Each variant owns its caches, counters, RNG
-  /// stream (seeded config.seed ^ variant) and request counter, so results
-  /// are bitwise identical for any thread count and any chunk size.
+  /// Each variant replays a chunk in two parts (DESIGN.md §6): a cache
+  /// step, in parallel over the variant's cache-disjoint satellite groups
+  /// (cache_groups, serve.h), records each request's fetch outcome; an
+  /// accounting pass then folds the outcomes into the variant's counters,
+  /// latency samples, uplink meter and series strictly in trace order.
+  /// Each variant owns its caches, counters, RNG stream (seeded
+  /// config.seed ^ variant) and request counter, and a group's requests
+  /// reach its caches in trace order, so results are bitwise identical for
+  /// any thread count and any chunk size.
   ///
-  /// Double-buffered: while the variants replay chunk N, one extra
-  /// parallel_for slot pulls chunk N+1 from the stream and builds its
-  /// stage-1 request context, so generation/IO overlaps replay.
+  /// Pipelined: while the cache steps run on chunk N, the accounting runs
+  /// on chunk N-1 and one parallel_for slot pulls chunk N+1 from the stream
+  /// and builds its stage-1 context and group plan, so generation/IO
+  /// overlaps replay.
   ///
   /// Throws std::out_of_range (from sched::LinkSchedule) on a request whose
   /// location is not one of the schedule's cities, and
@@ -220,11 +226,13 @@ class Simulator {
   [[nodiscard]] std::vector<int> buckets_served_per_satellite() const;
 
  private:
-  /// Everything a variant replay touches lives here, so each variant can
-  /// run on its own thread with no shared mutable state. The RNG stream is
-  /// derived from (config.seed, variant) and the request counter advances
-  /// in lockstep across variants, making results independent of both
-  /// thread count and which other variants are registered.
+  /// Everything a variant replay touches lives here, so variants never
+  /// share mutable state. The RNG stream is derived from (config.seed,
+  /// variant) and the request counter advances in lockstep across
+  /// variants, making results independent of both thread count and which
+  /// other variants are registered. The cache step writes only `caches`
+  /// and `prefetch_epoch`, each slot of them from the one task that owns
+  /// its satellite's group; the accounting pass writes the rest.
   struct VariantState {
     Variant variant;
     obs::Shard shard;         // every scalar counter of the run
@@ -239,6 +247,8 @@ class Simulator {
     std::vector<util::Bytes> sat_bytes_hit;
     std::vector<std::unique_ptr<cache::Cache>> caches;  // per satellite slot
     std::vector<std::uint32_t> prefetch_epoch;          // kPrefetch bookkeeping
+    std::vector<std::uint32_t> group;  // cache-disjoint group per satellite
+    std::uint32_t groups = 0;
     TransientFailureModel transient{0.0};  // same outage schedule per variant
     util::Rng rng;                         // latency sampling stream
     std::uint64_t request_counter = 0;     // drives user-terminal rotation
@@ -247,15 +257,39 @@ class Simulator {
   /// Shared per-request context, hoisted out of the variant loop (stage 1):
   /// the scheduler epoch, the first-contact lookup (once per request, and
   /// once at the frozen epoch 0 when a kStatic variant is registered,
-  /// instead of once per variant), and whether the scheduler's reshuffle
-  /// handed this user to a different satellite than the previous epoch.
+  /// instead of once per variant), whether the scheduler's reshuffle
+  /// handed this user to a different satellite than the previous epoch,
+  /// and the hashed variants' route: bucket owner and hop split.
   struct RequestContext {
     util::EpochIdx epoch{0};
     bool handover = false;       // first contact differs from epoch - 1's
+    BucketMapper::Hops hops{0, 0};  // first contact to owner
+    util::SatId owner = util::kNoSat;  // serves the hashed variants
     sched::Candidate fc;         // first contact at the real epoch
     sched::Candidate fc_static;  // first contact at the frozen epoch 0
   };
 
+  /// One variant's share of a chunk. The plan lists the chunk's request
+  /// indices slot by slot, each slot's in trace order; the cache step
+  /// fills `outcome` (and `prefetched`) per request for the accounting.
+  struct Lane {
+    std::vector<std::uint32_t> order;
+    std::vector<std::uint32_t> slot_end;  // one past each slot's last entry
+    std::vector<std::uint8_t> outcome;
+    std::vector<util::Bytes> prefetched;  // kPrefetch only
+  };
+
+  /// A pulled block with its stage-1 context and one Lane per variant.
+  struct Chunk {
+    trace::RequestBlock block;
+    std::vector<RequestContext> ctx;
+    std::vector<Lane> lanes;
+  };
+
+  /// Producer slot: pull the next block, build its context and plan every
+  /// variant's lane over `slots` slots. False once the stream is drained.
+  bool produce(trace::RequestStream& stream, std::uint64_t counter_base,
+               bool need_static, std::size_t slots, Chunk& chunk);
   /// Stage-1 fan-out over one chunk: each slot is a pure function of the
   /// request index, seeded by `counter_base` (the shared request-counter
   /// position at the chunk's first request). Checks the chunk's time order
@@ -263,19 +297,27 @@ class Simulator {
   void build_context(const trace::RequestBlock& block,
                      std::uint64_t counter_base, bool need_static,
                      std::vector<RequestContext>& ctx);
-  /// Stage-2 replay of one chunk for one variant, strictly in trace order.
-  /// `trace_epochs` is set for one variant only (or the trace timeline
-  /// would repeat per worker); `marked_epoch` carries its epoch-instant
-  /// dedup across chunks.
-  void replay_variant(VariantState& vs, const trace::RequestBlock& block,
-                      const std::vector<RequestContext>& ctx,
-                      bool trace_epochs, std::uint64_t& marked_epoch);
+  /// Split a chunk's requests over `slots` slots by their serving
+  /// satellite's group: groups are packed in id order by load, so the
+  /// plan sets the balance only, never a result.
+  void plan(const VariantState& vs, const std::vector<RequestContext>& ctx,
+            std::size_t slots, Lane& lane) const;
+  /// Cache step of one slot: transient check, prefetch and fetch for each
+  /// of the slot's requests, in trace order.
+  void cache_step(VariantState& vs, const Chunk& chunk, Lane& lane,
+                  std::size_t slot);
+  /// Accounting pass of one chunk for one variant, strictly in trace
+  /// order. `trace_epochs` is set for one variant only (or the trace
+  /// timeline would repeat per worker); `marked_epoch` carries its
+  /// epoch-instant dedup across chunks.
+  void account(VariantState& vs, const Chunk& chunk, const Lane& lane,
+               bool trace_epochs, std::uint64_t& marked_epoch);
 
   void process(VariantState& vs, const trace::Request& r,
-               util::EpochIdx sched_epoch, util::EpochIdx real_epoch,
-               const sched::Candidate& fc);
-  void maybe_prefetch(VariantState& vs, util::SatId serving,
-                      util::EpochIdx epoch);
+               const RequestContext& c, std::uint8_t outcome,
+               util::Bytes prefetched);
+  util::Bytes maybe_prefetch(VariantState& vs, util::SatId serving,
+                             util::EpochIdx epoch);
   cache::Cache& cache_at(VariantState& vs, util::SatId sat);
   struct LocalCaches;  // the serve plan's cache access
   void note_sat(VariantState& vs, util::SatId sat, const trace::Request& r,

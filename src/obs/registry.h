@@ -126,9 +126,6 @@ class Shard {
     assert(g.index < gauges_.size());
     return gauges_[g.index];
   }
-  [[nodiscard]] bool is_set(GaugeId g) const noexcept {
-    return g.index < gauge_set_.size() && gauge_set_[g.index] != 0;
-  }
   [[nodiscard]] const HistogramCells& cells(HistogramId h) const noexcept {
     assert(h.index < histograms_.size());
     return histograms_[h.index];

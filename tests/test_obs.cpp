@@ -638,20 +638,25 @@ TEST_F(ObsSimTest, TracingIsBitwiseNeutral) {
 }
 
 // One Simulator run's spans, pinned by name and category: "core" holds the
-// run, its finish and one stage1_context per pulled chunk; "variant" holds
-// one span per chunk per variant, named to_string(variant).
+// run, its finish, one produce and one stage1_context per pulled chunk (and
+// one produce for the pull that ends the stream) and one cache_step per
+// non-empty (variant, slot) per chunk; "variant" holds one span per chunk
+// per variant, named to_string(variant), around its accounting pass.
 TEST_F(ObsSimTest, SimulatorSpanSchemaIsPinned) {
+  constexpr int kThreads = 4;
+  util::set_parallel_threads(kThreads);
   const core::SimConfig cfg = small_config();
   const std::size_t chunk = requests_->size() / 6 + 1;
   obs::Tracer tracer;
   std::size_t pulled = 0;
+  core::RunReport report;
   {
     const ScopedTracer installed(tracer);
     core::Simulator sim(*shell_, *schedule_, cfg);
     trace::VectorStream inner(*requests_, chunk);
     CountingStream stream(inner);
     sim.run(stream);
-    (void)sim.finish();
+    report = sim.finish();
     pulled = stream.pulled();
   }
   ASSERT_EQ(pulled, 6u);
@@ -660,6 +665,7 @@ TEST_F(ObsSimTest, SimulatorSpanSchemaIsPinned) {
   EXPECT_EQ(count_spans(spans, "Simulator::run", "core"), 1u);
   EXPECT_EQ(count_spans(spans, "Simulator::finish", "core"), 1u);
   EXPECT_EQ(count_spans(spans, "stage1_context", "core"), pulled);
+  EXPECT_EQ(count_spans(spans, "produce", "core"), pulled + 1);
   std::size_t variant_spans = 0;
   for (const core::Variant v : cfg.variants) {
     EXPECT_EQ(count_spans(spans, core::to_string(v), "variant"), pulled)
@@ -670,6 +676,33 @@ TEST_F(ObsSimTest, SimulatorSpanSchemaIsPinned) {
             static_cast<std::size_t>(std::count_if(
                 spans.begin(), spans.end(),
                 [](const SpanRecord& s) { return s.cat == "variant"; })));
+
+  // Every request a variant serves from a cache passes one cache step.
+  const std::size_t steps = count_spans(spans, "cache_step", "core");
+  EXPECT_GE(steps, pulled * cfg.variants.size());
+  EXPECT_LE(steps, pulled * cfg.variants.size() * kThreads);
+  std::map<std::string, std::uint64_t> stepped;
+  for (const SpanRecord& s : spans) {
+    if (s.name != "cache_step") continue;
+    EXPECT_LT(std::stoi(s.args.at("slot").scalar), kThreads);
+    const std::uint64_t n = std::stoull(s.args.at("requests").scalar);
+    EXPECT_GT(n, 0u);
+    stepped[s.args.at("variant").scalar] += n;
+  }
+  for (const core::VariantReport& vr : report.variants) {
+    EXPECT_EQ(stepped[vr.name], vr.metrics.requests - vr.metrics.unreachable)
+        << vr.name;
+  }
+
+  // At the default chunk size the simulator's spans stay within the
+  // budget of one trace event per 1,000 requests.
+  obs::Tracer whole;
+  {
+    const ScopedTracer installed(whole);
+    (void)run_report(cfg);
+  }
+  EXPECT_LE(complete_spans(whole).size() * 1000, requests_->size());
+  util::set_parallel_threads(0);
 }
 
 TEST_F(ObsSimTest, SeriesMatchesFinalTotalsAndTracksHandovers) {

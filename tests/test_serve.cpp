@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/simulator.h"
@@ -219,6 +220,106 @@ TEST(ServePlan, VariantsProbeTheirRelayPartners) {
     LoggedCaches<true> none{{}, {}};
     (void)core::fetch(mapper, v, true, owner, 7, 100, none);
     EXPECT_EQ(none.log, (Log{call("touch", owner), call("admit", owner)}));
+  }
+}
+
+/// Cache access that records every satellite a serve reaches and finds
+/// nothing, so fetch probes every relay partner it has.
+struct ReachedCaches {
+  static constexpr bool kPeekBoth = true;
+  std::vector<util::SatId> reached;
+  bool touch(util::SatId sat, cache::ObjectId) {
+    reached.push_back(sat);
+    return false;
+  }
+  bool peek(util::SatId sat, cache::ObjectId) {
+    reached.push_back(sat);
+    return false;
+  }
+  void admit(util::SatId sat, cache::ObjectId, util::Bytes) {
+    reached.push_back(sat);
+  }
+};
+
+// The Simulator runs each variant's groups in parallel, so a serve at any
+// satellite must reach only caches of that satellite's group: its relay
+// partners through fetch, and the west replica kPrefetch pulls from.
+TEST(ServeGroups, EveryServeStaysInsideItsGroup) {
+  std::vector<std::pair<const char*, orbit::Constellation>> shells;
+  shells.emplace_back("healthy", orbit::Constellation{orbit::WalkerParams{}});
+  shells.emplace_back("9.7% out", orbit::Constellation{orbit::WalkerParams{}});
+  util::Rng rng(2025);
+  shells.back().second.knock_out_random(0.097, rng);
+  shells.emplace_back("one alive", orbit::Constellation{orbit::WalkerParams{}});
+  orbit::Constellation& one = shells.back().second;
+  for (int i = 0; i < one.size(); ++i) {
+    one.set_active(one.id_of(util::SatId{i}), i == 700);
+  }
+
+  for (const auto& [state, shell] : shells) {
+    for (const int l : {1, 4, 9, 16, 25}) {
+      const core::BucketMapper mapper(shell, l);
+      for (const core::Variant v :
+           {core::Variant::kStatic, core::Variant::kVanillaLru,
+            core::Variant::kHashOnly, core::Variant::kRelayOnly,
+            core::Variant::kStarCdn, core::Variant::kPrefetch}) {
+        for (const bool east : {true, false}) {
+          SCOPED_TRACE(testing::Message() << state << ", L=" << l << ", "
+                                          << core::to_string(v)
+                                          << (east ? "" : ", no east"));
+          const std::vector<std::uint32_t> group =
+              core::cache_groups(mapper, shell.size(), v, east);
+          ASSERT_EQ(group.size(), static_cast<std::size_t>(shell.size()));
+          const auto group_of = [&](util::SatId s) {
+            return group[util::as_index(s)];
+          };
+          for (int i = 0; i < shell.size(); ++i) {
+            const util::SatId sat{i};
+            ReachedCaches caches;
+            (void)core::fetch(mapper, v, east, sat, 7, 100, caches);
+            if (v == core::Variant::kPrefetch &&
+                mapper.west_of(sat).value() >= 0) {
+              caches.reached.push_back(mapper.west_of(sat));
+            }
+            for (const util::SatId r : caches.reached) {
+              ASSERT_EQ(group_of(r), group_of(sat))
+                  << "serve at " << i << " reaches " << r.value();
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The partition is as fine as the relay geometry allows: on the healthy
+// 72x18 shell at L=9, StarCDN's same-bucket replicas three planes apart
+// close into 54 rings of 24 satellites; variants without relay partners
+// keep every cache apart.
+TEST(ServeGroups, HealthyShellSplitsIntoReplicaRings) {
+  const orbit::Constellation shell{orbit::WalkerParams{}};
+  const core::BucketMapper mapper(shell, 9);
+  const auto sizes = [&](core::Variant v) {
+    const std::vector<std::uint32_t> group =
+        core::cache_groups(mapper, shell.size(), v, true);
+    std::vector<int> size;
+    for (const std::uint32_t g : group) {
+      if (g >= size.size()) size.resize(g + 1, 0);
+      ++size[g];
+    }
+    return size;
+  };
+  for (const core::Variant v :
+       {core::Variant::kStarCdn, core::Variant::kPrefetch}) {
+    const std::vector<int> rings = sizes(v);
+    EXPECT_EQ(rings.size(), 54u) << core::to_string(v);
+    for (const int n : rings) EXPECT_EQ(n, 24) << core::to_string(v);
+  }
+  for (const core::Variant v :
+       {core::Variant::kStatic, core::Variant::kVanillaLru,
+        core::Variant::kHashOnly}) {
+    EXPECT_EQ(sizes(v).size(), static_cast<std::size_t>(shell.size()))
+        << core::to_string(v);
   }
 }
 
