@@ -432,7 +432,7 @@ void Simulator::run(trace::RequestStream& stream) {
     bool have_next = false;
     std::exception_ptr produce_error;
     const std::size_t width = std::min(slots, tasks + (have_cur ? 1 : 0));
-    const auto lane = [&](std::size_t slot) {
+    const auto work = [&](std::size_t slot) {
       if (have_cur && slot + 1 == width) {
         try {
           have_next = produce(stream, next_base, need_static, slots, next);
@@ -449,7 +449,7 @@ void Simulator::run(trace::RequestStream& stream) {
         }
       }
     };
-    util::parallel_for(width, lane, static_cast<int>(width));
+    util::parallel_for(width, work, static_cast<int>(width));
     if (produce_error) {
       // Chunk `cur` went through its cache step: account it, so the run
       // stops after a whole chunk, then report the bad one.
