@@ -145,16 +145,64 @@ void BM_Propagation(benchmark::State& state) {
 BENCHMARK(BM_Propagation);
 
 void BM_VisibilitySweep(benchmark::State& state) {
+  // One (epoch, city) scan as LinkSchedule makes it: a precomputed ground
+  // point and a reused output buffer.
   const orbit::Constellation shell{orbit::WalkerParams{}};
   const orbit::VisibilityOracle oracle(util::Degrees{25.0});
   const auto positions = shell.all_positions_ecef(util::Seconds{0.0});
-  const util::GeoCoord ny{40.71, -74.01};
+  const orbit::Vec3 ny = orbit::geodetic_to_ecef({40.71, -74.01});
+  std::vector<orbit::VisibleSat> visible;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(oracle.visible(ny, shell, positions));
+    oracle.visible_into(ny, shell, positions, visible);
+    benchmark::DoNotOptimize(visible.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * shell.size());
 }
 BENCHMARK(BM_VisibilitySweep);
+
+void BM_LinkScheduleBuild(benchmark::State& state) {
+  // One simulated day (5,760 epochs) of the 72x18 shell for the nine paper
+  // cities, at `threads` parallel width. Items are (epoch, city) cells.
+  const orbit::Constellation shell{orbit::WalkerParams{}};
+  util::set_parallel_threads(static_cast<int>(state.range(0)));
+  std::size_t cells = 0;
+  for (auto _ : state) {
+    const sched::LinkSchedule schedule(shell, util::paper_cities(),
+                                       util::kDay);
+    cells = schedule.epochs() * util::paper_cities().size();
+    benchmark::DoNotOptimize(&schedule);
+  }
+  util::set_parallel_threads(0);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(cells));
+}
+BENCHMARK(BM_LinkScheduleBuild)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+void BM_WorkloadModelBuild(benchmark::State& state) {
+  // The video default (300,000 objects, nine cities) at `threads` parallel
+  // width: the object universe, then one popularity table per city.
+  const auto p = trace::default_params(trace::TrafficClass::kVideo);
+  util::set_parallel_threads(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    const trace::WorkloadModel model(util::paper_cities(), p);
+    benchmark::DoNotOptimize(&model);
+  }
+  util::set_parallel_threads(0);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(p.object_count));
+}
+BENCHMARK(BM_WorkloadModelBuild)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_CodecRoundTrip(benchmark::State& state) {
   net::Message m;

@@ -40,7 +40,7 @@ Constellation::Constellation(const WalkerParams& params) : params_(params) {
       elements_[util::as_index(index_of(grid_id(p, s)))] = e;
     }
   }
-  recompute_max_radius();
+  recompute_orbits();
 }
 
 Constellation::Constellation(const WalkerParams& grid_shape,
@@ -66,12 +66,15 @@ Constellation::Constellation(const WalkerParams& grid_shape,
     elements_[idx] = e;
     active_[idx] = true;
   }
-  recompute_max_radius();
+  recompute_orbits();
 }
 
-void Constellation::recompute_max_radius() noexcept {
+void Constellation::recompute_orbits() {
+  orbits_.clear();
+  orbits_.reserve(elements_.size());
   max_orbital_radius_ = util::Km{0.0};
   for (const auto& e : elements_) {
+    orbits_.emplace_back(e);
     max_orbital_radius_ = std::max(max_orbital_radius_, e.semi_major_axis);
   }
 }
@@ -111,11 +114,22 @@ Vec3 Constellation::position_ecef(SatelliteId id,
 
 std::vector<Vec3> Constellation::all_positions_ecef(util::Seconds t) const {
   std::vector<Vec3> out(static_cast<std::size_t>(size()));
-  for (int i = 0; i < size(); ++i) {
-    out[static_cast<std::size_t>(i)] =
-        orbit::ecef_position(elements_[static_cast<std::size_t>(i)], t);
-  }
+  all_positions_ecef(t, out);
   return out;
+}
+
+void Constellation::all_positions_ecef(util::Seconds t,
+                                       std::span<Vec3> out) const {
+  if (out.size() != orbits_.size()) {
+    throw std::invalid_argument(
+        "Constellation::all_positions_ecef: buffer size != size()");
+  }
+  // eci_to_ecef's rotation, its cos/sin taken once for every slot.
+  const double earth = -util::kEarthRotationRadPerS * t.value();
+  const double c = std::cos(earth), s = std::sin(earth);
+  for (std::size_t i = 0; i < orbits_.size(); ++i) {
+    out[i] = rotate_z(orbits_[i].eci_position(t), c, s);
+  }
 }
 
 SatelliteId Constellation::intra_next(SatelliteId id) const noexcept {

@@ -118,6 +118,12 @@ class Constellation {
   /// position; callers must consult `active`). Size == size().
   [[nodiscard]] std::vector<Vec3> all_positions_ecef(util::Seconds t) const;
 
+  /// Same, written into `out` without allocating: one Earth-rotation
+  /// cos/sin per call and one cos/sin per slot, from the constants each
+  /// slot's CircularOrbit holds. Bitwise equal to orbit::ecef_position for
+  /// every slot. Throws std::invalid_argument unless out.size() == size().
+  void all_positions_ecef(util::Seconds t, std::span<Vec3> out) const;
+
   // --- Toroidal grid neighbours (+grid ISL endpoints) ---------------------
   [[nodiscard]] SatelliteId intra_next(SatelliteId id) const noexcept;   // ahead in orbit
   [[nodiscard]] SatelliteId intra_prev(SatelliteId id) const noexcept;   // behind in orbit
@@ -132,10 +138,12 @@ class Constellation {
   [[nodiscard]] int grid_hops(SatelliteId a, SatelliteId b) const noexcept;
 
  private:
-  void recompute_max_radius() noexcept;
+  /// Derive orbits_ and max_orbital_radius_ from elements_.
+  void recompute_orbits();
 
   WalkerParams params_;
   std::vector<CircularElements> elements_;
+  std::vector<CircularOrbit> orbits_;  // one per slot, from elements_
   std::vector<bool> active_;
   util::Km max_orbital_radius_{0.0};
 };

@@ -19,16 +19,17 @@ util::Seconds orbital_period(const CircularElements& e) noexcept {
   return util::Seconds{2.0 * M_PI / mean_motion_rad_s(e)};
 }
 
+CircularOrbit::CircularOrbit(const CircularElements& e) noexcept
+    : u0(e.arg_latitude_epoch.value()),
+      mean_motion(mean_motion_rad_s(e)),
+      a(e.semi_major_axis.value()),
+      cos_i(std::cos(e.inclination.value())),
+      sin_i(std::sin(e.inclination.value())),
+      cos_raan(std::cos(e.raan.value())),
+      sin_raan(std::sin(e.raan.value())) {}
+
 Vec3 eci_position(const CircularElements& e, util::Seconds t) noexcept {
-  const double u =
-      e.arg_latitude_epoch.value() + mean_motion_rad_s(e) * t.value();
-  const double a = e.semi_major_axis.value();
-  const double ci = std::cos(e.inclination.value());
-  const double si = std::sin(e.inclination.value());
-  const double cu = std::cos(u), su = std::sin(u);
-  // Position in the orbital plane rotated by inclination, then RAAN.
-  const Vec3 in_plane{a * cu, a * su * ci, a * su * si};
-  return rotate_z(in_plane, e.raan.value());
+  return CircularOrbit(e).eci_position(t);
 }
 
 Vec3 eci_to_ecef(const Vec3& eci, util::Seconds t) noexcept {

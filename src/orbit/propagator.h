@@ -9,6 +9,8 @@
 // are implicit km (see DESIGN.md §10 for why the vector stays raw).
 #pragma once
 
+#include <cmath>
+
 #include "orbit/elements.h"
 #include "orbit/vec3.h"
 #include "util/geo.h"
@@ -21,6 +23,30 @@ namespace starcdn::orbit {
 
 /// Orbital period (~5'740 s, i.e. about 95 min, for 550 km).
 [[nodiscard]] util::Seconds orbital_period(const CircularElements& e) noexcept;
+
+/// A circular orbit's propagation constants, derived once from its
+/// elements, so that a position costs one cos/sin of the argument of
+/// latitude. eci_position(e, t) is CircularOrbit(e).eci_position(t): one
+/// implementation, and a batch over many satellites (Constellation::
+/// all_positions_ecef) matches the single-satellite path bit for bit.
+struct CircularOrbit {
+  explicit CircularOrbit(const CircularElements& e) noexcept;
+
+  /// Position in the Earth-Centered Inertial frame at `t` past epoch.
+  [[nodiscard]] Vec3 eci_position(util::Seconds t) const noexcept {
+    const double u = u0 + mean_motion * t.value();
+    const double cu = std::cos(u), su = std::sin(u);
+    // Position in the orbital plane rotated by inclination, then RAAN.
+    const Vec3 in_plane{a * cu, a * su * cos_i, a * su * sin_i};
+    return rotate_z(in_plane, cos_raan, sin_raan);
+  }
+
+  double u0 = 0.0;           // argument of latitude at epoch, rad
+  double mean_motion = 0.0;  // rad/s
+  double a = 0.0;            // semi-major axis, km
+  double cos_i = 1.0, sin_i = 0.0;
+  double cos_raan = 1.0, sin_raan = 0.0;
+};
 
 /// Position in the Earth-Centered Inertial frame at `t` past epoch.
 [[nodiscard]] Vec3 eci_position(const CircularElements& e,

@@ -40,33 +40,45 @@ std::vector<VisibleSat> VisibilityOracle::visible(
 std::vector<VisibleSat> VisibilityOracle::visible_from_ecef(
     const Vec3& ground_ecef, const Constellation& constellation,
     const std::vector<Vec3>& sat_positions_ecef) const {
+  std::vector<VisibleSat> out;
+  visible_into(ground_ecef, constellation, sat_positions_ecef, out);
+  return out;
+}
+
+void VisibilityOracle::visible_into(const Vec3& ground_ecef,
+                                    const Constellation& constellation,
+                                    std::span<const Vec3> sat_positions_ecef,
+                                    std::vector<VisibleSat>& out) const {
   const Vec3& g = ground_ecef;
   // Cheap reject: any satellite of this constellation whose slant range
   // exceeds the horizon slant range at the mask — derived from the shell's
   // actual orbital radius, so higher-altitude shells are never culled
-  // (at 550 km / 25 deg this is ~1,124 km) — is below the mask; skip the
-  // asin for those. +1 km absorbs floating-point slack.
-  const util::Km reject =
-      horizon_slant_range(constellation.max_orbital_radius(),
-                          util::Km{g.norm()}, min_elevation_) +
-      util::Km{1.0};
-  std::vector<VisibleSat> out;
+  // (at 550 km / 25 deg this is ~1,124 km) — is below the mask. The test
+  // is on the squared range, so a rejected satellite costs no sqrt and no
+  // asin; the +1 km absorbs floating-point slack, so a satellite near the
+  // bound is one the exact elevation test below rejects too.
+  const double reject =
+      (horizon_slant_range(constellation.max_orbital_radius(),
+                           util::Km{g.norm()}, min_elevation_) +
+       util::Km{1.0})
+          .value();
+  const double reject_sq = reject * reject;
+  out.clear();
   for (int i = 0; i < constellation.size(); ++i) {
     const util::SatId sat{i};
     if (!constellation.active(sat)) continue;
     const Vec3& s = sat_positions_ecef[static_cast<std::size_t>(i)];
-    const util::Km range = slant_range(g, s);
-    if (range > reject) continue;
+    const Vec3 d = g - s;
+    if (d.dot(d) > reject_sq) continue;
     const util::Degrees el = elevation(g, s);
     if (el >= min_elevation_) {
-      out.push_back({sat, el, range});
+      out.push_back({sat, el, slant_range(g, s)});
     }
   }
   std::sort(out.begin(), out.end(),
             [](const VisibleSat& a, const VisibleSat& b) {
               return a.elevation > b.elevation;
             });
-  return out;
 }
 
 }  // namespace starcdn::orbit

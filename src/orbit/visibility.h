@@ -7,6 +7,7 @@
 // scheduler.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "orbit/constellation.h"
@@ -65,6 +66,13 @@ class VisibilityOracle {
   [[nodiscard]] std::vector<VisibleSat> visible_from_ecef(
       const Vec3& ground_ecef, const Constellation& constellation,
       const std::vector<Vec3>& sat_positions_ecef) const;
+
+  /// The scan behind both: replaces `out`'s contents, reusing its
+  /// capacity, so a caller scanning many epochs (LinkSchedule) allocates
+  /// nothing per scan.
+  void visible_into(const Vec3& ground_ecef, const Constellation& constellation,
+                    std::span<const Vec3> sat_positions_ecef,
+                    std::vector<VisibleSat>& out) const;
 
  private:
   util::Degrees min_elevation_;

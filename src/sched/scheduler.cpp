@@ -12,18 +12,42 @@
 
 namespace starcdn::sched {
 
+namespace {
+
+void require(bool ok, const char* what) {
+  if (!ok) throw std::invalid_argument(std::string("LinkSchedule: ") + what);
+}
+
+void validate(util::Seconds duration, const SchedulerParams& p) {
+  require(std::isfinite(p.epoch.value()) && p.epoch.value() > 0.0,
+          "epoch must be finite and positive");
+  require(std::isfinite(duration.value()) && duration.value() > 0.0,
+          "duration must be finite and positive");
+  require(p.candidates_per_cell >= 1, "candidates_per_cell must be >= 1");
+  require(p.users_per_city >= 1, "users_per_city must be >= 1");
+  require(p.min_elevation.value() >= 0.0 && p.min_elevation.value() < 90.0,
+          "min_elevation must be in [0, 90) degrees");
+}
+
+}  // namespace
+
 LinkSchedule::LinkSchedule(const orbit::Constellation& constellation,
                            const std::vector<util::City>& cities,
                            util::Seconds duration,
                            const SchedulerParams& params)
     : params_(params), n_cities_(cities.size()) {
+  validate(duration, params);
   epochs_ = static_cast<std::size_t>(
       std::max(1.0, std::ceil(duration / params.epoch)));
   const obs::TraceSpan span(
       obs::tracer(), "LinkSchedule::build", "sched",
       {obs::arg("epochs", static_cast<std::uint64_t>(epochs_)),
        obs::arg("cities", static_cast<std::uint64_t>(n_cities_))});
-  table_.resize(epochs_ * n_cities_);
+  // No cell can hold more candidates than the shell has slots.
+  stride_ = std::min(static_cast<std::size_t>(params.candidates_per_cell),
+                     static_cast<std::size_t>(constellation.size()));
+  table_.resize(epochs_ * n_cities_ * stride_);
+  counts_.resize(epochs_ * n_cities_);
   const orbit::VisibilityOracle oracle(params.min_elevation);
   // City ECEF points are epoch-invariant: convert once instead of inside
   // every visibility scan.
@@ -31,26 +55,27 @@ LinkSchedule::LinkSchedule(const orbit::Constellation& constellation,
   for (std::size_t c = 0; c < n_cities_; ++c) {
     city_ecef[c] = orbit::geodetic_to_ecef(cities[c].coord);
   }
-  // Epochs are independent: each worker propagates its epoch's satellite
-  // positions and fills that epoch's pre-sized table slots. Static chunking
-  // plus disjoint writes keep the table bitwise identical for any thread
-  // count.
-  util::parallel_for(epochs_, [&](std::size_t e) {
-    const util::Seconds t = static_cast<double>(e) * params_.epoch;
-    const auto positions = constellation.all_positions_ecef(t);
-    for (std::size_t c = 0; c < n_cities_; ++c) {
-      const auto visible = oracle.visible_from_ecef(city_ecef[c],
-                                                    constellation, positions);
-      auto& cell = table_[e * n_cities_ + c];
-      const std::size_t k = std::min<std::size_t>(
-          visible.size(),
-          static_cast<std::size_t>(params_.candidates_per_cell));
-      cell.reserve(k);
-      for (std::size_t i = 0; i < k; ++i) {
-        cell.push_back(
-            {visible[i].sat,
-             static_cast<float>(
-                 util::propagation_delay(visible[i].range).value())});
+  // Epochs are independent: each worker propagates its epochs' satellite
+  // positions and fills their cells. Static chunking plus disjoint writes
+  // keep the table bitwise identical for any thread count.
+  util::parallel_for_chunks(epochs_, [&](std::size_t begin, std::size_t end) {
+    std::vector<orbit::Vec3> positions(
+        static_cast<std::size_t>(constellation.size()));
+    std::vector<orbit::VisibleSat> visible;
+    for (std::size_t e = begin; e < end; ++e) {
+      const util::Seconds t = static_cast<double>(e) * params_.epoch;
+      constellation.all_positions_ecef(t, positions);
+      for (std::size_t c = 0; c < n_cities_; ++c) {
+        oracle.visible_into(city_ecef[c], constellation, positions, visible);
+        const std::size_t cell = e * n_cities_ + c;
+        const std::size_t k = std::min(visible.size(), stride_);
+        Candidate* out = table_.data() + cell * stride_;
+        for (std::size_t i = 0; i < k; ++i) {
+          out[i] = {visible[i].sat,
+                    static_cast<float>(
+                        util::propagation_delay(visible[i].range).value())};
+        }
+        counts_[cell] = static_cast<std::uint32_t>(k);
       }
     }
   });
@@ -70,7 +95,7 @@ void LinkSchedule::throw_bad_city(util::CityId city) const {
 
 Candidate LinkSchedule::first_contact(util::EpochIdx epoch, util::CityId city,
                                       std::uint64_t user_id) const {
-  const auto& cell = candidates(epoch, city);
+  const auto cell = candidates(epoch, city);
   if (cell.empty()) return {};
   // Hash (user, epoch) so each user sticks to one satellite within an epoch
   // but the population reshuffles when the scheduler reconfigures.
@@ -81,10 +106,10 @@ Candidate LinkSchedule::first_contact(util::EpochIdx epoch, util::CityId city,
 }
 
 double LinkSchedule::mean_candidates() const noexcept {
-  if (table_.empty()) return 0.0;
+  if (counts_.empty()) return 0.0;
   double total = 0.0;
-  for (const auto& cell : table_) total += static_cast<double>(cell.size());
-  return total / static_cast<double>(table_.size());
+  for (const std::uint32_t n : counts_) total += static_cast<double>(n);
+  return total / static_cast<double>(counts_.size());
 }
 
 }  // namespace starcdn::sched

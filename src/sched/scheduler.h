@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "orbit/constellation.h"
@@ -36,9 +37,13 @@ struct SchedulerParams {
   int users_per_city = 64;         // logical user terminals per city
 };
 
-/// Precomputed link schedule over a time horizon.
+/// Precomputed link schedule over a time horizon: one flat table of
+/// candidates_per_cell slots (8 B each) per (epoch, city) cell.
 class LinkSchedule {
  public:
+  /// Throws std::invalid_argument, naming the field, for a non-finite or
+  /// non-positive `params.epoch` or `duration`, `candidates_per_cell` or
+  /// `users_per_city` below 1, or `min_elevation` outside [0, 90) degrees.
   LinkSchedule(const orbit::Constellation& constellation,
                const std::vector<util::City>& cities, util::Seconds duration,
                const SchedulerParams& params = {});
@@ -60,10 +65,11 @@ class LinkSchedule {
   /// Candidate set for a city at an epoch (possibly empty during a
   /// coverage gap). Throws std::out_of_range when `city` is not one of the
   /// schedule's cities.
-  [[nodiscard]] const std::vector<Candidate>& candidates(
+  [[nodiscard]] std::span<const Candidate> candidates(
       util::EpochIdx epoch, util::CityId city) const {
     if (city.value() >= n_cities_) throw_bad_city(city);
-    return table_[epoch.value() * n_cities_ + city.value()];
+    const std::size_t cell = epoch.value() * n_cities_ + city.value();
+    return {table_.data() + cell * stride_, counts_[cell]};
   }
 
   /// First-contact satellite for a logical user, stable within an epoch and
@@ -83,7 +89,11 @@ class LinkSchedule {
   SchedulerParams params_;
   std::size_t n_cities_ = 0;
   std::size_t epochs_ = 0;
-  std::vector<std::vector<Candidate>> table_;  // [epoch * n_cities + city]
+  std::size_t stride_ = 0;
+  /// Cell (epoch * n_cities + city) owns table_[cell * stride_, +stride_),
+  /// of which the first counts_[cell] are its candidates, best first.
+  std::vector<Candidate> table_;
+  std::vector<std::uint32_t> counts_;
 };
 
 }  // namespace starcdn::sched

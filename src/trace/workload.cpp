@@ -1,11 +1,13 @@
 #include "trace/workload.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <numbers>
 #include <stdexcept>
 #include <unordered_set>
+#include <utility>
 
 #include "trace/minute_order.h"
 #include "util/hash.h"
@@ -81,12 +83,53 @@ namespace {
 /// popularity dampener: a German user either watches a British show or —
 /// far more often (Table 2) — never touches it. The gate is a deterministic
 /// hash so every city of the same region agrees.
-bool crosses_region(ObjectId id, const std::string& target_region,
+bool crosses_region(ObjectId id, std::uint64_t target_region_hash,
                     double gate_probability) {
   if (gate_probability >= 1.0) return true;
   const std::uint64_t h = util::hash_combine(util::splitmix64(id + 0x9e37),
-                                             util::fnv1a(target_region));
+                                             target_region_hash);
   return static_cast<double>(h >> 11) * 0x1.0p-53 < gate_probability;
+}
+
+/// An in-reach object of one city's table. `key` is the complement of
+/// the weight's bits: weights are positive and finite, and such doubles
+/// order like their bit patterns, so ascending keys are descending weights.
+struct Weighted {
+  std::uint64_t key = 0;
+  ObjectId id = 0;
+
+  [[nodiscard]] static Weighted of(double w, ObjectId id) noexcept {
+    return {~std::bit_cast<std::uint64_t>(w), id};
+  }
+  [[nodiscard]] double weight() const noexcept {
+    return std::bit_cast<double>(~key);
+  }
+};
+
+/// Sorts entries given in ascending id order by descending weight, ties by
+/// ascending id: a stable LSD radix sort on `key`, so ties keep their id
+/// order. The order equals a comparison sort on (weight desc, id asc); it
+/// costs a few linear passes instead of the comparison sort's mispredicted
+/// branches. A pass whose digit is the same for every entry is skipped.
+void sort_heaviest_first(std::vector<Weighted>& v) {
+  constexpr unsigned kBits = 11;
+  constexpr std::size_t kBuckets = std::size_t{1} << kBits;
+  std::vector<Weighted> scratch(v.size());
+  std::vector<std::size_t> start(kBuckets);
+  for (unsigned shift = 0; shift < 64; shift += kBits) {
+    const auto digit = [shift](const Weighted& e) {
+      return static_cast<std::size_t>((e.key >> shift) & (kBuckets - 1));
+    };
+    std::fill(start.begin(), start.end(), 0);
+    for (const Weighted& e : v) ++start[digit(e)];
+    if (std::find(start.begin(), start.end(), v.size()) != start.end()) {
+      continue;
+    }
+    std::size_t at = 0;
+    for (std::size_t& s : start) at += std::exchange(s, at);
+    for (const Weighted& e : v) scratch[start[digit(e)]++] = e;
+    v.swap(scratch);
+  }
 }
 
 }  // namespace
@@ -98,8 +141,23 @@ WorkloadModel::WorkloadModel(const std::vector<util::City>& cities,
   if (params.object_count == 0) {
     throw std::invalid_argument("WorkloadModel: object_count must be positive");
   }
+  build_city_pairs();
   build_universe();
   build_city_tables();
+}
+
+void WorkloadModel::build_city_pairs() {
+  const auto& cities = *cities_;
+  const std::size_t n = cities.size();
+  pairs_.resize(n * n);
+  for (std::size_t home = 0; home < n; ++home) {
+    for (std::size_t c = 0; c < n; ++c) {
+      pairs_[home * n + c] = {
+          region_affinity(cities[home].region, cities[c].region, params_),
+          util::haversine(cities[home].coord, cities[c].coord).value(),
+          util::fnv1a(cities[c].region)};
+    }
+  }
 }
 
 void WorkloadModel::build_universe() {
@@ -125,35 +183,39 @@ void WorkloadModel::build_universe() {
     std::swap(ranks[i - 1], ranks[rng.below(i)]);
   }
 
+  // A rank's Zipf weight, and the reach factor it sets, take no draw:
+  // computed in parallel, ahead of the serial loop over the RNG.
+  std::vector<double> reach_scale(n);
+  util::parallel_for_chunks(n, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const double w =
+          std::pow(static_cast<double>(ranks[i] + 1), -params_.zipf_alpha);
+      base_weight_[i] = static_cast<float>(w);
+      reach_scale[i] = 1.0 + params_.reach_pop_boost *
+                                 std::log1p(w * static_cast<double>(n));
+    }
+  });
+
   for (std::size_t i = 0; i < n; ++i) {
     sizes_[i] = static_cast<Bytes>(
         std::max(1.0, rng.lognormal(params_.size_mu, params_.size_sigma)));
-    const double w =
-        std::pow(static_cast<double>(ranks[i] + 1), -params_.zipf_alpha);
-    base_weight_[i] = static_cast<float>(w);
     home_city_[i] = static_cast<std::uint16_t>(home_sampler.sample(rng));
     global_[i] = rng.bernoulli(params_.global_fraction);
     const double reach =
-        rng.pareto(params_.reach_min_km, params_.reach_shape) *
-        (1.0 + params_.reach_pop_boost *
-                   std::log1p(w * static_cast<double>(n)));
+        rng.pareto(params_.reach_min_km, params_.reach_shape) * reach_scale[i];
     reach_km_[i] = static_cast<float>(std::min(reach, 40'000.0));
   }
 }
 
 double WorkloadModel::weight(ObjectId id, std::size_t city) const {
   const auto i = static_cast<std::size_t>(id);
-  const auto& cities = *cities_;
   const double base = base_weight_[i];
   if (global_[i]) return base;  // uniform worldwide popularity
   const std::size_t home = home_city_[i];
   if (home == city) return base;
-  const double gate =
-      region_affinity(cities[home].region, cities[city].region, params_);
-  if (!crosses_region(id, cities[city].region, gate)) return 0.0;
-  const double dist =
-      util::haversine(cities[home].coord, cities[city].coord).value();
-  return base * std::exp(-dist / static_cast<double>(reach_km_[i]));
+  const CityPair& pair = pairs_[home * cities_->size() + city];
+  if (!crosses_region(id, pair.region_hash, pair.gate)) return 0.0;
+  return base * std::exp(-pair.distance_km / static_cast<double>(reach_km_[i]));
 }
 
 bool WorkloadModel::in_reach(double w, ObjectId id) const {
@@ -169,26 +231,22 @@ void WorkloadModel::build_city_tables() {
   // Cities are independent: one task each, so the result does not depend
   // on the thread count.
   util::parallel_for(cities_->size(), [&](std::size_t c) {
-    std::vector<std::pair<double, ObjectId>> by_weight;
+    std::vector<Weighted> by_weight;
     for (std::size_t i = 0; i < sizes_.size(); ++i) {
       const auto id = static_cast<ObjectId>(i);
       const double w = weight(id, c);
-      if (in_reach(w, id)) by_weight.emplace_back(w, id);
+      if (in_reach(w, id)) by_weight.push_back(Weighted::of(w, id));
     }
     // Most popular first (ties by id): the Zipf head, which most draws
     // hit, then shares a few cache lines of the CDF and of the table.
-    std::sort(by_weight.begin(), by_weight.end(),
-              [](const auto& a, const auto& b) {
-                return a.first != b.first ? a.first > b.first
-                                          : a.second < b.second;
-              });
+    sort_heaviest_first(by_weight);
     CityTable& t = city_tables_[c];
     std::vector<double> weights;
     weights.reserve(by_weight.size());
     t.entries.reserve(by_weight.size());
-    for (const auto& [w, id] : by_weight) {
-      weights.push_back(w);
-      t.entries.push_back({id, sizes_[static_cast<std::size_t>(id)]});
+    for (const Weighted& e : by_weight) {
+      weights.push_back(e.weight());
+      t.entries.push_back({e.id, sizes_[static_cast<std::size_t>(e.id)]});
     }
     t.sampler = std::make_unique<DiscreteSampler>(weights);
     t.minutes = std::make_unique<DiscreteSampler>(diurnal_minute_weights(c));

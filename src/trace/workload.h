@@ -160,6 +160,7 @@ class WorkloadModel {
     std::uint16_t city;
   };
 
+  void build_city_pairs();
   void build_universe();
   /// Whether weight `w` of object `id` in some city puts it in that city's
   /// popularity table.
@@ -179,6 +180,16 @@ class WorkloadModel {
 
   const std::vector<util::City>* cities_;
   WorkloadParams params_;
+
+  /// What an object's weight needs of its (home city, city) pair, at
+  /// [home * cities + city]: the region gate, the great-circle distance
+  /// and the city's region hash.
+  struct CityPair {
+    double gate = 0.0;
+    double distance_km = 0.0;
+    std::uint64_t region_hash = 0;
+  };
+  std::vector<CityPair> pairs_;
 
   // Object universe.
   std::vector<Bytes> sizes_;

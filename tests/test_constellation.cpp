@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "orbit/tle.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -141,6 +145,50 @@ TEST(Constellation, FromPartialTlesMarksMissingInactive) {
   EXPECT_EQ(partial.active_count(), p.slots_per_plane);
   EXPECT_TRUE(partial.active({0, 0}));
   EXPECT_FALSE(partial.active({1, 0}));
+}
+
+TEST(Constellation, PositionsMatchPropagatorBitwise) {
+  // The batched positions must equal the single-satellite propagator bit
+  // for bit: on the Walker shell, and on a TLE-built one whose slots carry
+  // their own altitude, inclination and RAAN.
+  const Constellation walker{WalkerParams{}};
+  const WalkerParams p = small_shell();
+  const Constellation nominal{p};
+  std::vector<Tle> tles;
+  for (int i = 0; i < nominal.size(); ++i) {
+    const auto& e = nominal.elements(nominal.id_of(util::SatId{i}));
+    Tle t;
+    t.catalog_number = 60'000 + i;
+    t.inclination_deg = util::to_degrees(e.inclination).value() + 0.01 * i;
+    t.raan_deg = util::to_degrees(e.raan).value() + 0.003 * i;
+    t.mean_anomaly_deg = util::to_degrees(e.arg_latitude_epoch).value();
+    t.mean_motion_rev_day = util::kDay / orbital_period(e) + 1e-3 * i;
+    tles.push_back(t);
+  }
+  const Constellation from_tles(p, tles);
+  for (const Constellation* shell : {&walker, &from_tles}) {
+    for (const double t : {0.0, 15.0, 1'234.5, 43'200.0, 86'385.0}) {
+      const std::vector<Vec3> all = shell->all_positions_ecef(util::Seconds{t});
+      ASSERT_EQ(all.size(), static_cast<std::size_t>(shell->size()));
+      for (int i = 0; i < shell->size(); ++i) {
+        const SatelliteId id = shell->id_of(util::SatId{i});
+        const Vec3 want = ecef_position(shell->elements(id), util::Seconds{t});
+        const Vec3& got = all[static_cast<std::size_t>(i)];
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got.x),
+                  std::bit_cast<std::uint64_t>(want.x))
+            << "slot " << i << " t " << t;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got.y),
+                  std::bit_cast<std::uint64_t>(want.y))
+            << "slot " << i << " t " << t;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got.z),
+                  std::bit_cast<std::uint64_t>(want.z))
+            << "slot " << i << " t " << t;
+        const Vec3 one = shell->position_ecef(id, util::Seconds{t});
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(one.x),
+                  std::bit_cast<std::uint64_t>(want.x));
+      }
+    }
+  }
 }
 
 TEST(Constellation, InvalidShapeThrows) {

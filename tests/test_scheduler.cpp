@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
 
 #include "util/geo.h"
+#include "util/hash.h"
+#include "util/rng.h"
 
 namespace starcdn::sched {
 namespace {
@@ -135,6 +139,110 @@ TEST(Scheduler, CustomParams) {
   for (std::size_t c = 0; c < util::paper_cities().size(); ++c) {
     EXPECT_LE(schedule.candidates(util::EpochIdx{0}, util::CityId{static_cast<std::uint32_t>(c)}).size(), 2u);
   }
+}
+
+/// Expects LinkSchedule's constructor to reject `params` (or `duration`)
+/// with std::invalid_argument naming `field`.
+void expect_rejected(const SchedulerParams& params, const char* field,
+                     util::Seconds duration = util::Seconds{600.0}) {
+  static const orbit::Constellation shell{orbit::WalkerParams{}};
+  try {
+    const LinkSchedule schedule(shell, util::paper_cities(), duration, params);
+    ADD_FAILURE() << field << ": accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(Scheduler, RejectsBadEpoch) {
+  // Unchecked, epoch = 0 builds an empty table that epoch_of indexes
+  // past, and a negative epoch one epoch with a negative horizon.
+  for (const double v : {0.0, -15.0, kNaN, kInf}) {
+    SchedulerParams p;
+    p.epoch = util::Seconds{v};
+    expect_rejected(p, "epoch");
+  }
+}
+
+TEST(Scheduler, RejectsBadDuration) {
+  for (const double v : {0.0, -60.0, kNaN, kInf}) {
+    expect_rejected(SchedulerParams{}, "duration", util::Seconds{v});
+  }
+}
+
+TEST(Scheduler, RejectsBadCandidatesPerCell) {
+  for (const int v : {0, -1}) {
+    SchedulerParams p;
+    p.candidates_per_cell = v;
+    expect_rejected(p, "candidates_per_cell");
+  }
+}
+
+TEST(Scheduler, RejectsBadUsersPerCity) {
+  // Unchecked, users_per_city = 0 builds and then divides by zero in the
+  // simulator's user rotation.
+  for (const int v : {0, -4}) {
+    SchedulerParams p;
+    p.users_per_city = v;
+    expect_rejected(p, "users_per_city");
+  }
+}
+
+TEST(Scheduler, RejectsBadMinElevation) {
+  for (const double v : {-0.5, 90.0, 120.0, kNaN}) {
+    SchedulerParams p;
+    p.min_elevation = util::Degrees{v};
+    expect_rejected(p, "min_elevation");
+  }
+  // The bounds' closed end is valid: a 0-degree mask sees to the horizon.
+  SchedulerParams horizon;
+  horizon.min_elevation = util::Degrees{0.0};
+  const orbit::Constellation shell{orbit::WalkerParams{}};
+  const LinkSchedule schedule(shell, util::paper_cities(),
+                              util::Seconds{60.0}, horizon);
+  EXPECT_EQ(schedule.epochs(), 4u);
+}
+
+/// Sat id and float bits of every (epoch, city, rank) of a schedule, plus
+/// each cell's size.
+std::uint64_t table_digest(const LinkSchedule& schedule, std::size_t cities) {
+  std::uint64_t h = 0;
+  for (std::size_t e = 0; e < schedule.epochs(); ++e) {
+    for (std::size_t c = 0; c < cities; ++c) {
+      const auto cell = schedule.candidates(
+          util::EpochIdx{e}, util::CityId{static_cast<std::uint32_t>(c)});
+      h = util::hash_combine(h, cell.size());
+      for (const Candidate& cand : cell) {
+        h = util::hash_combine(h, static_cast<std::uint64_t>(cand.sat.value()));
+        h = util::hash_combine(
+            h, std::bit_cast<std::uint32_t>(cand.gsl_one_way_ms));
+      }
+    }
+  }
+  return h;
+}
+
+TEST(LinkSchedule, TableDigestPinned) {
+  // The thread-count identity compares two builds with each other, so a
+  // change to the propagation or the visibility scan they share would pass
+  // it. This pins the one-day table itself, bit for bit, on the healthy
+  // shell and on the shell with 9.7 % of its slots out.
+  const auto& cities = util::paper_cities();
+  orbit::Constellation shell{orbit::WalkerParams{}};
+  const LinkSchedule healthy(shell, cities, util::kDay);
+  ASSERT_EQ(healthy.epochs(), 5'760u);
+  EXPECT_EQ(table_digest(healthy, cities.size()), 0x5a6005f17863d8e2ULL)
+      << std::hex << table_digest(healthy, cities.size());
+
+  util::Rng rng(2025);
+  shell.knock_out_random(0.097, rng);
+  const LinkSchedule degraded(shell, cities, util::kDay);
+  EXPECT_EQ(table_digest(degraded, cities.size()), 0x967c7f7ea476d559ULL)
+      << std::hex << table_digest(degraded, cities.size());
 }
 
 }  // namespace

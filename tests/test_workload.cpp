@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
 
 #include "util/geo.h"
+#include "util/hash.h"
 
 namespace starcdn::trace {
 namespace {
@@ -40,6 +43,22 @@ TEST(WorkloadModel, RejectsZeroObjectCount) {
     EXPECT_NE(std::string(e.what()).find("object_count"), std::string::npos)
         << e.what();
   }
+}
+
+TEST(WorkloadModel, RequestProbabilityDigestPinned) {
+  // Every object x city of the video default, bit for bit: the region
+  // gate, the distance decay, the reach cut-off and each table's total.
+  const auto& cities = util::paper_cities();
+  const WorkloadModel model(cities, default_params(TrafficClass::kVideo));
+  std::uint64_t h = 0;
+  for (std::size_t c = 0; c < cities.size(); ++c) {
+    for (std::size_t i = 0; i < model.object_count(); ++i) {
+      h = util::hash_combine(h, std::bit_cast<std::uint64_t>(
+                                    model.request_probability(
+                                        static_cast<ObjectId>(i), c)));
+    }
+  }
+  EXPECT_EQ(h, 0x196a72e66548de7dULL) << std::hex << h;
 }
 
 TEST(Workload, GenerationIsDeterministic) {
